@@ -215,6 +215,30 @@ func BenchmarkReduceImplicitEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkReduceGreedyMinDeg reduces the heavy-tail workload's large
+// instance (planted n=400, m=160, edges of 10–20 vertices, k=3) with the
+// greedy-mindeg oracle, which runs on the implicit conflict graph: B/op
+// tracks the memory a reduction needs when G_k is never materialised.
+func BenchmarkReduceGreedyMinDeg(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	h, _, err := hypergraph.PlantedCF(400, 160, 3, 10, 20, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.Options{K: 3, Mode: core.ModeOracle, Oracle: maxis.MinDegreeOracle{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Reduce(context.Background(), h, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalColors == 0 {
+			b.Fatal("no colours")
+		}
+	}
+}
+
 // benchPortfolio races the full greedy suite on a large materialised
 // conflict graph, the per-phase workload of the oracle execution layer.
 func benchPortfolio(b *testing.B, opts engine.Options) {

@@ -1,12 +1,16 @@
 package core
 
-// conflict.go constructs the conflict graph G_k of Section 2, in two
-// forms. Build materialises it as an explicit graph for the MaxIS oracles.
-// Implicit answers adjacency queries straight from H — mirroring the
+// conflict.go constructs the conflict graph G_k of Section 2. BuildOpts
+// materialises it as a CSR graph for the MaxIS oracles that need the
+// whole graph. Everything else answers from H directly — mirroring the
 // paper's observation that "the conflict graph G_k can be efficiently
 // simulated in H in the LOCAL model": the neighbourhood of (e, v, c)
 // depends only on the edges incident to v and to e's members, information
 // within O(1) hops of v in the bipartite incidence structure of H.
+// Adjacent tests one pair, FirstFitTriples and IndependentTriples scan a
+// set in near-linear time, and ImplicitGraph (implicit.go) generates
+// whole rows on demand, which lets an unweighted greedy-mindeg reduction
+// skip BuildOpts entirely.
 //
 // The edge set, for distinct triples t1 = (e, v, c), t2 = (g, u, d):
 //
@@ -23,8 +27,9 @@ package core
 // vertex block (E_vertex) across the worker pool of engine.Options, each
 // shard emitting into a private buffer of a graph.ShardedBuilder. Node ids
 // come from pure offset arithmetic over the Index tables — NewIndex
-// validated the structure once, so the emission loops have no error paths.
-// DESIGN.md, "Execution engine", records the design.
+// validated the structure once, so the emission loops have no validation
+// errors; they return only a cancellation, polled every 64 hyperedges
+// (vertices). DESIGN.md, "Execution engine", records the design.
 
 import (
 	"fmt"
@@ -51,15 +56,13 @@ func BuildOpts(ix *Index, opts engine.Options) (*graph.Graph, error) {
 	// run sequentially, so a shard buffer is never touched by two
 	// goroutines at once.
 	err := opts.ForEachShard(h.M(), func(shard int, s engine.Shard) error {
-		emitEdgeShard(ix, sb.Shard(shard), s.Lo, s.Hi)
-		return opts.Err()
+		return emitEdgeShard(ix, sb.Shard(shard), s.Lo, s.Hi, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
 	err = opts.ForEachShard(h.N(), func(shard int, s engine.Shard) error {
-		emitVertexShard(ix, sb.Shard(shard), s.Lo, s.Hi)
-		return opts.Err()
+		return emitVertexShard(ix, sb.Shard(shard), s.Lo, s.Hi, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -85,11 +88,17 @@ func BuildOpts(ix *Index, opts engine.Options) (*graph.Graph, error) {
 	return g, nil
 }
 
+// emitPollEvery is how many hyperedges (vertices) the emission loops and
+// the implicit degree pass handle between polls of the engine's context,
+// so even a serial build stops soon after the client goes away.
+const emitPollEvery = 64
+
 // emitEdgeShard emits the E_edge cliques and E_color pairs whose container
 // edge lies in [lo, hi). Every id is derived by offset arithmetic; the two
 // endpoints can never coincide (same container: positions differ, different
-// containers: disjoint id blocks), so no equality guard is needed.
-func emitEdgeShard(ix *Index, b *graph.Builder, lo, hi int) {
+// containers: disjoint id blocks), so no equality guard is needed. It polls
+// opts every 64 hyperedges and returns the cancellation error.
+func emitEdgeShard(ix *Index, b *graph.Builder, lo, hi int, opts engine.Options) error {
 	h, k := ix.h, ix.k
 	// Exact emission volume of the shard: Σ C(|e|k, 2) for the cliques
 	// plus Σ_j Σ_{u ∈ e_j} (|e_j|-1)·deg(u)·k for E_color.
@@ -105,6 +114,11 @@ func emitEdgeShard(ix *Index, b *graph.Builder, lo, hi int) {
 	}
 	b.EdgeCapacityHint(hint)
 	for j := lo; j < hi; j++ {
+		if (j-lo)%emitPollEvery == 0 {
+			if err := opts.Err(); err != nil {
+				return err
+			}
+		}
 		// E_edge: clique over the |e|·k contiguous triples of edge j.
 		blo, bhi := ix.edgeOffset[j], ix.edgeOffset[j+1]
 		for a := blo; a < bhi; a++ {
@@ -134,13 +148,15 @@ func emitEdgeShard(ix *Index, b *graph.Builder, lo, hi int) {
 			}
 		}
 	}
+	return opts.Err()
 }
 
 // emitVertexShard emits the E_vertex pairs for vertices in [lo, hi): for
 // each pair of distinct incident edges, connect differing colours. Pairs
 // within a single incident edge are already inside its E_edge clique and
-// are skipped here.
-func emitVertexShard(ix *Index, b *graph.Builder, lo, hi int) {
+// are skipped here. It polls opts every 64 vertices and returns the
+// cancellation error.
+func emitVertexShard(ix *Index, b *graph.Builder, lo, hi int, opts engine.Options) error {
 	h, k := ix.h, ix.k
 	hint := 0
 	for v := lo; v < hi; v++ {
@@ -150,6 +166,11 @@ func emitVertexShard(ix *Index, b *graph.Builder, lo, hi int) {
 	b.EdgeCapacityHint(hint)
 	var incBuf []int32
 	for v := lo; v < hi; v++ {
+		if (v-lo)%emitPollEvery == 0 {
+			if err := opts.Err(); err != nil {
+				return err
+			}
+		}
 		incBuf = h.AppendIncidentEdges(incBuf[:0], int32(v))
 		pos := ix.incPos[v]
 		for i, e := range incBuf {
@@ -167,6 +188,7 @@ func emitVertexShard(ix *Index, b *graph.Builder, lo, hi int) {
 			}
 		}
 	}
+	return opts.Err()
 }
 
 // Adjacent reports whether two triples are adjacent in G_k, directly from
@@ -331,6 +353,46 @@ func IsIndependentTriples(ix *Index, ts []Triple) (bool, error) {
 			if adj {
 				return false, nil
 			}
+		}
+	}
+	return true, nil
+}
+
+// IndependentTriples reports whether the given triples are pairwise
+// non-adjacent in G_k, in O(Σ_e |e| + |ts|) time: it is
+// IsIndependentTriples without the quadratic pair scan. A per-edge map
+// enforces E_edge (at most one triple per edge) and a per-vertex colour
+// map E_vertex (one colour per vertex); then E_color through either
+// container reduces to one scan per triple (e, v, c) of e's other
+// vertices for colour c — for a conflicting pair (e, v, c), (g, u, c),
+// u ∈ e is caught by the scan of e and v ∈ g by the scan of g. An invalid
+// triple is an ErrBadTriple error.
+func IndependentTriples(ix *Index, ts []Triple) (bool, error) {
+	h := ix.h
+	hasEdge := make([]bool, h.M())
+	color := make([]int32, h.N()) // 0 = no triple at the vertex yet
+	for _, t := range ts {
+		if t.Edge < 0 || int(t.Edge) >= h.M() || t.Color < 1 || t.Color > ix.k ||
+			!h.EdgeContains(int(t.Edge), t.Vertex) {
+			return false, fmt.Errorf("%w: %v", ErrBadTriple, t)
+		}
+		if hasEdge[t.Edge] {
+			return false, nil // E_edge (or a repeated triple)
+		}
+		hasEdge[t.Edge] = true
+		if c := color[t.Vertex]; c != 0 && c != t.Color {
+			return false, nil // E_vertex
+		}
+		color[t.Vertex] = t.Color
+	}
+	for _, t := range ts {
+		independent := true
+		h.ForEachEdgeVertex(int(t.Edge), func(u int32) bool {
+			independent = u == t.Vertex || color[u] != t.Color
+			return independent
+		})
+		if !independent {
+			return false, nil // E_color
 		}
 	}
 	return true, nil

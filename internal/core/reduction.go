@@ -264,6 +264,9 @@ func solvePhase(ix *Index, opts Options, ff *FirstFitScratch, phaseSp obs.Span) 
 	if opts.Mode == ModeImplicitFirstFit {
 		return ff.FirstFit(ix), -1, nil
 	}
+	if as, ok := opts.Oracle.(maxis.AdjacencySolver); ok && opts.Mode == ModeOracle && !ix.h.Weighted() {
+		return solveImplicit(ix, as, opts, phaseSp)
+	}
 	build := phaseSp.Child("csr_build")
 	g, err := BuildOpts(ix, opts.Engine)
 	build.End()
@@ -293,4 +296,34 @@ func solvePhase(ix *Index, opts Options, ff *FirstFitScratch, phaseSp obs.Span) 
 		return nil, 0, err
 	}
 	return triples, g.M(), nil
+}
+
+// solveImplicit runs an AdjacencySolver on the implicit G_k: the phase
+// gets the set and edge count the CSR path would report, without the
+// edge list ever existing. The csr_build span times the count-only
+// degree pass, the construction work that remains.
+func solveImplicit(ix *Index, as maxis.AdjacencySolver, opts Options, phaseSp obs.Span) ([]Triple, int, error) {
+	build := phaseSp.Child("csr_build")
+	a, err := NewImplicitGraph(ix, opts.Engine)
+	build.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	build.SetDims(a.N(), a.M())
+	solve := phaseSp.Child("oracle_solve")
+	solve.SetOracle(opts.OracleName)
+	ids, err := as.SolveAdjacency(opts.Engine.Context(), a)
+	solve.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	solve.SetIS(len(ids), 0)
+	triples, err := IDsToTriples(ix, ids)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrOracleNotIndependent, err)
+	}
+	if ok, err := IndependentTriples(ix, triples); err != nil || !ok {
+		return nil, 0, ErrOracleNotIndependent
+	}
+	return triples, a.M(), nil
 }

@@ -653,7 +653,6 @@ func (m *Manager) run(j *job) {
 	m.met.waitNS.Add(int64(wait))
 	m.met.started.Add(1)
 	m.met.running.Add(1)
-	defer m.met.running.Add(-1)
 
 	sv := m.base.With(j.req.Params.options()...)
 	// Job tracing is on only when the manager has a ring to publish into:
@@ -716,6 +715,9 @@ func (m *Manager) run(j *job) {
 	}
 	m.met.runNS.Add(int64(finished.Sub(started)))
 	m.met.finished.Add(1)
+	// Leave the running gauge before the terminal state is published, so
+	// a watcher that sees the job finish never counts it as running.
+	m.met.running.Add(-1)
 	// Terminal jobs stop pinning their request body (a resubmission
 	// brings a fresh one), and a persisted result lives in the store —
 	// without this, a long-lived manager would hold every body (up to

@@ -17,70 +17,156 @@ import (
 // neighbourhood. The result always has size at least the Caro–Wei bound
 // Σ 1/(deg+1).
 func GreedyMinDegree(g *graph.Graph) []int32 {
-	n := g.N()
-	removed := make([]bool, n)
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(int32(v))
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	// Bucket queue over residual degrees with lazy deletion.
-	buckets := make([][]int32, maxDeg+1)
-	for v := 0; v < n; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], int32(v))
-	}
-	var out []int32
-	remaining := n
-	cursor := 0
-	for remaining > 0 {
-		// Find the lowest non-empty bucket entry whose recorded degree is
-		// still current (lazy entries are skipped).
-		var v int32 = -1
-		for cursor <= maxDeg {
-			b := buckets[cursor]
-			if len(b) == 0 {
-				cursor++
-				continue
-			}
-			cand := b[len(b)-1]
-			buckets[cursor] = b[:len(b)-1]
-			if !removed[cand] && deg[cand] == cursor {
-				v = cand
-				break
-			}
-		}
-		if v < 0 {
-			break // only lazy entries left; cannot happen with consistent state
-		}
-		out = append(out, v)
-		removed[v] = true
-		remaining--
-		// Delete N(v); decrement degrees of their still-present neighbours.
-		g.ForEachNeighbor(v, func(u int32) bool {
-			if removed[u] {
-				return true
-			}
-			removed[u] = true
-			remaining--
-			g.ForEachNeighbor(u, func(w int32) bool {
-				if !removed[w] {
-					deg[w]--
-					buckets[deg[w]] = append(buckets[deg[w]], w)
-					if deg[w] < cursor {
-						cursor = deg[w]
-					}
-				}
-				return true
-			})
-			return true
-		})
-	}
-	sortNodes(out)
+	out, _ := minDegreeGreedy(context.Background(), g) // never cancelled, so never fails
 	return out
 }
+
+// Adjacency is the read-only graph view the min-degree kernel runs on:
+// *graph.Graph satisfies it, and so does core's implicit conflict graph,
+// which generates rows on demand instead of storing them. AppendNeighbors
+// must append v's neighbours in ascending order without duplicates — the
+// CSR row — so that every Adjacency describing the same graph drives the
+// kernel through the same selections.
+type Adjacency interface {
+	N() int
+	Degree(v int32) int
+	AppendNeighbors(dst []int32, v int32) []int32
+}
+
+// AdjacencySolver is implemented by oracles that can solve an unweighted
+// instance on any Adjacency, returning exactly what Solve returns on the
+// materialised graph. core's reduction uses it to skip building G_k.
+type AdjacencySolver interface {
+	SolveAdjacency(ctx context.Context, a Adjacency) ([]int32, error)
+}
+
+// minDegPollEvery is how many node deletions the min-degree kernel makes
+// between context polls. Deletions, not selections, pace the polls: each
+// deletion generates one neighbour row, while on G_k an independent set
+// holds at most one node per hyperedge, so selections are few and each
+// can delete thousands of nodes.
+const minDegPollEvery = 256
+
+// minDegreeGreedy is the min-degree greedy kernel over any Adjacency.
+// Residual degrees live in a bucket queue of intrusive doubly linked
+// lists, one per degree, each pushed at the front: the kernel always
+// takes the head of the lowest non-empty bucket, i.e. the vertex that
+// most recently reached the minimum residual degree (the highest id among
+// untouched vertices). Memory is O(n + maxDeg) beyond two row buffers.
+// ctx is polled on entry and every 256 node deletions. The result is
+// sorted ascending.
+func minDegreeGreedy[A Adjacency](ctx context.Context, a A) ([]int32, error) {
+	n := a.N()
+	q := degreeQueue{
+		deg:     make([]int32, n),
+		next:    make([]int32, n),
+		prev:    make([]int32, n),
+		removed: make([]bool, n),
+		ctx:     ctx,
+	}
+	if err := q.poll(); err != nil {
+		return nil, err
+	}
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		d := a.Degree(int32(v))
+		q.deg[v] = int32(d)
+		maxDeg = max(maxDeg, d)
+	}
+	q.head = make([]int32, maxDeg+1)
+	for d := range q.head {
+		q.head[d] = -1
+	}
+	for v := int32(0); int(v) < n; v++ {
+		q.push(v)
+	}
+	var out, rowV, rowU []int32
+	cursor := int32(0)
+	for {
+		for int(cursor) <= maxDeg && q.head[cursor] < 0 {
+			cursor++
+		}
+		if int(cursor) > maxDeg {
+			break
+		}
+		v := q.head[cursor]
+		if err := q.remove(v); err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+		// Delete N(v); decrement the residual degrees of their still-present
+		// neighbours, moving each to the front of its new bucket.
+		rowV = a.AppendNeighbors(rowV[:0], v)
+		for _, u := range rowV {
+			if q.removed[u] {
+				continue
+			}
+			if err := q.remove(u); err != nil {
+				return nil, err
+			}
+			rowU = a.AppendNeighbors(rowU[:0], u)
+			for _, w := range rowU {
+				if q.removed[w] {
+					continue
+				}
+				q.unlink(w)
+				q.deg[w]--
+				q.push(w)
+				cursor = min(cursor, q.deg[w])
+			}
+		}
+	}
+	sortNodes(out)
+	return out, nil
+}
+
+// degreeQueue is the kernel's bucket queue: head[d] starts the list of
+// live vertices with residual degree d, linked through next/prev (-1 ends
+// a list).
+type degreeQueue struct {
+	deg, next, prev, head []int32
+	removed               []bool
+	deleted               int
+	ctx                   context.Context
+}
+
+// push links v at the front of the bucket of its current degree.
+func (q *degreeQueue) push(v int32) {
+	d := q.deg[v]
+	h := q.head[d]
+	q.prev[v], q.next[v] = -1, h
+	if h >= 0 {
+		q.prev[h] = v
+	}
+	q.head[d] = v
+}
+
+// unlink takes v out of its bucket.
+func (q *degreeQueue) unlink(v int32) {
+	p, nx := q.prev[v], q.next[v]
+	if p >= 0 {
+		q.next[p] = nx
+	} else {
+		q.head[q.deg[v]] = nx
+	}
+	if nx >= 0 {
+		q.prev[nx] = p
+	}
+}
+
+// remove deletes v from the residual graph, polling the context every
+// minDegPollEvery deletions.
+func (q *degreeQueue) remove(v int32) error {
+	q.unlink(v)
+	q.removed[v] = true
+	if q.deleted++; q.deleted%minDegPollEvery == 0 {
+		return q.poll()
+	}
+	return nil
+}
+
+// poll reports the context's cancellation.
+func (q *degreeQueue) poll() error { return q.ctx.Err() }
 
 // GreedyOrder scans vertices in the given order and adds each vertex whose
 // neighbours have not been added yet — exactly the locality-1 SLOCAL
@@ -171,6 +257,12 @@ func (MinDegreeOracle) Solve(g *graph.Graph) ([]int32, error) {
 		return GreedyWeighted(g), nil
 	}
 	return GreedyMinDegree(g), nil
+}
+
+// SolveAdjacency implements AdjacencySolver with the same kernel Solve
+// runs on unweighted graphs.
+func (MinDegreeOracle) SolveAdjacency(ctx context.Context, a Adjacency) ([]int32, error) {
+	return minDegreeGreedy(ctx, a)
 }
 
 // RandomOrderOracle adapts GreedyRandomOrder to the Oracle interface with a

@@ -1,6 +1,8 @@
 package maxis
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -202,5 +204,121 @@ func TestRatio(t *testing.T) {
 	}
 	if _, err := Ratio(3, 0); err == nil {
 		t.Error("Ratio(3,0) should error")
+	}
+}
+
+// refGreedyMinDegreeLazy is the earlier bucket queue of GreedyMinDegree:
+// per-degree LIFO stacks with lazy deletion, pushing a vertex again on
+// every degree change and discarding stale entries at pop time. The
+// linked-list kernel must select exactly the same vertices.
+func refGreedyMinDegreeLazy(g *graph.Graph) []int32 {
+	n := g.N()
+	removed := make([]bool, n)
+	deg := make([]int, n)
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		deg[v] = g.Degree(int32(v))
+		maxDeg = max(maxDeg, deg[v])
+	}
+	buckets := make([][]int32, maxDeg+1)
+	for v := 0; v < n; v++ {
+		buckets[deg[v]] = append(buckets[deg[v]], int32(v))
+	}
+	var out []int32
+	cursor := 0
+	for {
+		v := int32(-1)
+		for cursor <= maxDeg {
+			b := buckets[cursor]
+			if len(b) == 0 {
+				cursor++
+				continue
+			}
+			cand := b[len(b)-1]
+			buckets[cursor] = b[:len(b)-1]
+			if !removed[cand] && deg[cand] == cursor {
+				v = cand
+				break
+			}
+		}
+		if v < 0 {
+			break
+		}
+		out = append(out, v)
+		removed[v] = true
+		g.ForEachNeighbor(v, func(u int32) bool {
+			if removed[u] {
+				return true
+			}
+			removed[u] = true
+			g.ForEachNeighbor(u, func(w int32) bool {
+				if !removed[w] {
+					deg[w]--
+					buckets[deg[w]] = append(buckets[deg[w]], w)
+					cursor = min(cursor, deg[w])
+				}
+				return true
+			})
+			return true
+		})
+	}
+	sortNodes(out)
+	return out
+}
+
+func TestGreedyMinDegreeMatchesLazyBuckets(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(120)
+		var g *graph.Graph
+		if rng.Intn(2) == 0 {
+			g = graph.GnP(n, rng.Float64()*0.6, rng)
+		} else {
+			// Unions of cliques give many equal-degree ties.
+			g = graph.Union(graph.Complete(1+rng.Intn(8)), graph.GnP(n, 0.05, rng))
+		}
+		return equalSets(GreedyMinDegree(g), refGreedyMinDegreeLazy(g))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// pollCounter is a context that cancels itself on its n-th Err poll, so
+// a test can land a cancellation inside a specific loop.
+type pollCounter struct {
+	context.Context
+	cancel context.CancelFunc
+	left   int
+}
+
+func cancelOnPoll(n int) *pollCounter {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCounter{Context: ctx, cancel: cancel, left: n}
+}
+
+func (c *pollCounter) Err() error {
+	if c.left--; c.left == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+func TestMinDegreeOracleCancelsMidSolve(t *testing.T) {
+	// 1000 isolated nodes: polls on entry and after 256, 512 and 768
+	// deletions. Cancelling on the second poll stops the kernel after 256
+	// deletions; only the in-loop poll can observe it.
+	g := graph.Empty(1000)
+	ctx := cancelOnPoll(2)
+	defer ctx.cancel()
+	if _, err := (MinDegreeOracle{}).SolveAdjacency(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want context.Canceled", err)
+	}
+	if ctx.left != 0 {
+		t.Errorf("kernel kept polling after the cancellation (%d polls left)", ctx.left)
+	}
+	set, err := (MinDegreeOracle{}).SolveAdjacency(cancelOnPoll(10), g)
+	if err != nil || len(set) != 1000 {
+		t.Fatalf("uncancelled solve: %d nodes, err %v", len(set), err)
 	}
 }

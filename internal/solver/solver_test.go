@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -308,6 +309,77 @@ func TestCancellationMidSolve(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// pollCounter is a context that counts its Err polls and cancels itself
+// on the n-th (never when n <= 0), so a test can land a cancellation at
+// any poll site of a solve.
+type pollCounter struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	polls  atomic.Int64
+}
+
+func cancelOnPoll(n int64) *pollCounter {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCounter{Context: ctx, cancel: cancel, n: n}
+}
+
+func (c *pollCounter) Err() error {
+	if c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCancellationAtEveryPoll counts the context polls of a whole Solve,
+// then cancels on each of them in turn: whether the poll sits between
+// phases, inside the CSR build's emission loops, in greedy-mindeg's
+// degree pass or in its selection loop, the call returns ErrCancelled and
+// leaves no goroutine behind.
+func TestCancellationAtEveryPoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	h, _, err := hypergraph.PlantedCF(400, 200, 3, 4, 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		oracle  string
+		workers int
+	}{
+		{"greedy-firstfit", 1}, // CSR build, serial
+		{"greedy-firstfit", 2}, // CSR build on a pool
+		{"greedy-mindeg", 1},   // implicit path
+	} {
+		sv := New(WithK(3), WithOracle(tc.oracle), WithWorkers(tc.workers))
+		count := cancelOnPoll(0)
+		if _, err := sv.Solve(count, h); err != nil {
+			t.Fatalf("%s: uncancelled solve: %v", tc.oracle, err)
+		}
+		total := count.polls.Load()
+		if total < 8 {
+			t.Fatalf("%s: only %d polls in a whole solve", tc.oracle, total)
+		}
+		t.Logf("%s workers=%d: %d polls", tc.oracle, tc.workers, total)
+		before := runtime.NumGoroutine()
+		for n := int64(1); n <= total; n++ {
+			ctx := cancelOnPoll(n)
+			_, err := sv.Solve(ctx, h)
+			ctx.cancel()
+			if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s workers=%d: cancel at poll %d of %d: error = %v, want ErrCancelled",
+					tc.oracle, tc.workers, n, total, err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: goroutines leaked: %d before, %d after", tc.oracle, before, runtime.NumGoroutine())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

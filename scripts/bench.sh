@@ -1,7 +1,7 @@
 #!/bin/sh
-# Runs the hot-path benchmarks (conflict-graph construction, reduction,
-# oracle portfolio, SLOCAL simulator, Moser-Tardos splitting, span
-# recording) and appends
+# Runs the hot-path benchmarks (conflict-graph construction, reductions
+# including greedy-mindeg on the implicit G_k, oracle portfolio, SLOCAL
+# simulator, Moser-Tardos splitting, span recording) and appends
 # the results to the perf trajectory (default BENCH_gk.json): a stable
 # {"schema":1,"history":[...]} document with one entry per run, keyed by
 # git SHA (suffixed "-dirty" when the tree has uncommitted changes), so
@@ -27,7 +27,7 @@ fi
 # failure must not record a partial trajectory entry.
 # shellcheck disable=SC2086  # benchtime is intentionally word-split
 go test -run '^$' \
-  -bench 'ConflictGraphBuild|ImplicitFirstFit|FirstFitScratch|ReduceImplicit|PortfolioOracle|BallCarving|NetworkDecomposition|SLOCALGreedyMIS|SolverReduce' \
+  -bench 'ConflictGraphBuild|ImplicitFirstFit|FirstFitScratch|ReduceImplicit|ReduceGreedyMinDeg|PortfolioOracle|BallCarving|NetworkDecomposition|SLOCALGreedyMIS|SolverReduce' \
   -benchmem -count=1 $benchtime . > "$tmp"
 go test -run '^$' -bench 'MoserTardosLongResampling' -benchmem -count=1 $benchtime \
   ./internal/splitting/ >> "$tmp"

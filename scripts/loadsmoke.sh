@@ -1,6 +1,6 @@
 #!/bin/sh
-# End-to-end load smoke: build cfserve and cfload, fire a small mixed
-# burst (reduce + maxis + async jobs, every wire format) at a live
+# End-to-end load smoke: build cfserve and cfload, send a small paced
+# mix (reduce + maxis + async jobs, every wire format) to a live
 # server, check the SLO report and the /statz latency histograms are
 # populated, replay the recorded trace twice and require byte-identical
 # summaries (the determinism contract), and fold the perf report into
@@ -30,9 +30,11 @@ for i in $(seq 1 50); do
 done
 curl -fsS "http://$addr/healthz" >/dev/null
 
-# Recorded burst: the built-in three-class mix covers /v1/reduce,
+# Recorded run: the built-in three-class mix covers /v1/reduce,
 # /v1/maxis and /v1/jobs across edgelist, dimacs and json bodies.
-"$work/cfload" -addr "http://$addr" -requests 60 -rate 500 -seed 7 \
+# -speed 1 paces arrivals in real time, so -rate 500 is the rate the
+# server sees instead of one 60-request burst.
+"$work/cfload" -addr "http://$addr" -requests 60 -rate 500 -speed 1 -seed 7 \
   -hit-ratio 0.5 -record "$work/burst.trace" -perf-out "$work/perf.json" \
   > "$work/summary.json"
 
