@@ -219,9 +219,16 @@ func BenchmarkReduceImplicitEndToEnd(b *testing.B) {
 // instance (planted n=400, m=160, edges of 10–20 vertices, k=3) with the
 // greedy-mindeg oracle, which runs on the implicit conflict graph: B/op
 // tracks the memory a reduction needs when G_k is never materialised.
-func BenchmarkReduceGreedyMinDeg(b *testing.B) {
+func BenchmarkReduceGreedyMinDeg(b *testing.B) { benchReduceGreedyMinDeg(b, 400, 160, 10, 20) }
+
+// BenchmarkReduceGreedyMinDegSmall is the same reduction on the
+// reduce-fresh workload's instance shape (planted n=200, m=80, edges of
+// 4–10 vertices, k=3), where fixed per-phase costs weigh more.
+func BenchmarkReduceGreedyMinDegSmall(b *testing.B) { benchReduceGreedyMinDeg(b, 200, 80, 4, 10) }
+
+func benchReduceGreedyMinDeg(b *testing.B, n, m, sizeLo, sizeHi int) {
 	rng := rand.New(rand.NewSource(5))
-	h, _, err := hypergraph.PlantedCF(400, 160, 3, 10, 20, rng)
+	h, _, err := hypergraph.PlantedCF(n, m, 3, sizeLo, sizeHi, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

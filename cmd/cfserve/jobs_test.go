@@ -28,7 +28,7 @@ import (
 var jobOracleSeq atomic.Int64
 
 // blockingJobOracle parks Solve on its engine context; cancelling the
-// job (or the server shutting down) releases it.
+// job or the request (or the server shutting down) releases it.
 type blockingJobOracle struct {
 	mu      sync.Mutex
 	eng     engine.Options

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +73,113 @@ func TestImplicitGraphMatchesBuildOpts(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// randomRowInstance draws a hypergraph that stresses the ordered row
+// walk: a star centre most edges share (high H-degree) in half of the
+// instances, singleton edges, and exact duplicates of earlier edges.
+func randomRowInstance(rng *rand.Rand) *hypergraph.Hypergraph {
+	n := 3 + rng.Intn(14)
+	m := 1 + rng.Intn(14)
+	star := rng.Intn(2) == 0
+	edges := make([][]int32, 0, m)
+	for len(edges) < m {
+		switch r := rng.Intn(5); {
+		case r == 0:
+			edges = append(edges, []int32{int32(rng.Intn(n))})
+		case r == 1 && len(edges) > 0:
+			edges = append(edges, edges[rng.Intn(len(edges))])
+		default:
+			var e []int32
+			for _, v := range rng.Perm(n)[:1+rng.Intn(min(n, 6))] {
+				e = append(e, int32(v))
+			}
+			if star && rng.Intn(4) != 0 {
+				e = append(e, 0) // New drops the repeat if 0 is already in e
+			}
+			edges = append(edges, e)
+		}
+	}
+	return hypergraph.MustNew(n, edges)
+}
+
+// TestQuickImplicitRowsOrdered checks every implicit row over random
+// hypergraphs and k = 1..4: strictly ascending, as long as its Degree,
+// equal to the BuildOpts row, and Σ row lengths = 2·M. k = 1 leaves
+// E_vertex empty, so the walk's other-colour step emits nothing.
+func TestQuickImplicitRowsOrdered(t *testing.T) {
+	seenK := make(map[int]int)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		h := randomRowInstance(rng)
+		k := 1 + rng.Intn(4)
+		seenK[k]++
+		ix, err := NewIndex(h, k)
+		if err != nil {
+			return false
+		}
+		want, err := BuildOpts(ix, engine.Options{Workers: 1})
+		if err != nil {
+			return false
+		}
+		got, err := NewImplicitGraph(ix, engine.Options{})
+		if err != nil || got.M() != want.M() {
+			return false
+		}
+		sum := 0
+		var gr, wr []int32
+		for v := int32(0); int(v) < got.N(); v++ {
+			gr = got.AppendNeighbors(gr[:0], v)
+			wr = want.AppendNeighbors(wr[:0], v)
+			if !slices.Equal(gr, wr) || got.Degree(v) != len(gr) {
+				return false
+			}
+			for i := 1; i < len(gr); i++ {
+				if gr[i-1] >= gr[i] {
+					return false
+				}
+			}
+			sum += len(gr)
+		}
+		return sum == 2*got.M()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 4; k++ {
+		if seenK[k] < 40 {
+			t.Errorf("k=%d drawn %d times: the generator no longer covers it", k, seenK[k])
+		}
+	}
+}
+
+// TestImplicitAppendNeighborsAllocatesNothing pins the row walk at zero
+// allocations once dst and the row scratch have room: rows are written
+// straight into dst.
+func TestImplicitAppendNeighborsAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	h, _, err := hypergraph.PlantedCF(200, 80, 3, 4, 10, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewImplicitGraph(mustIndex(t, h, 3), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxDeg := 0
+	for v := int32(0); int(v) < a.N(); v++ {
+		maxDeg = max(maxDeg, a.Degree(v))
+	}
+	dst := make([]int32, 0, maxDeg)
+	allRows := func() {
+		for v := int32(0); int(v) < a.N(); v++ {
+			dst = a.AppendNeighbors(dst[:0], v)
+		}
+	}
+	allRows() // grow the row scratch to the largest edge and incidence list
+	if allocs := testing.AllocsPerRun(5, allRows); allocs != 0 {
+		t.Errorf("AppendNeighbors over all %d rows: %v allocs, want 0", a.N(), allocs)
 	}
 }
 

@@ -16,6 +16,10 @@ package graph
 // disjoint by construction. The final adjacency is sorted and duplicate
 // free, so the assembled CSR is identical regardless of shard count or
 // emission order — the property the equivalence tests assert.
+//
+// Every loop polls opts.Ctx once per assemblePollEvery edges, nodes or
+// adjacency entries, also on one worker, so a cancelled request stops a
+// large assembly mid-pass instead of at the next pass boundary.
 
 import (
 	"errors"
@@ -24,6 +28,29 @@ import (
 
 	"pslocal/internal/engine"
 )
+
+// assemblePollEvery is how many units of work (edges in the count and
+// scatter passes, nodes in the merge, adjacency entries plus nodes in the
+// sort and compaction) each assembly loop does between context polls.
+const assemblePollEvery = 1 << 16
+
+// poller polls a context once per assemblePollEvery units of work. Each
+// goroutine uses its own.
+type poller struct {
+	opts engine.Options
+	done int
+}
+
+// add records work units and polls each time another assemblePollEvery
+// have accrued, so a loop with w units in all polls w / assemblePollEvery
+// times.
+func (p *poller) add(work int) error {
+	if p.done += work; p.done < assemblePollEvery {
+		return nil
+	}
+	p.done -= assemblePollEvery
+	return p.opts.Err()
+}
 
 // ShardedBuilder accumulates edges into per-shard buffers so multiple
 // workers can emit concurrently without synchronisation. Distinct shards
@@ -105,10 +132,14 @@ func assembleCSR(n int, shards []*Builder, opts engine.Options) (*Graph, error) 
 	// Pass 1: per-shard degree counts, each into a private array.
 	degs := make([][]int32, w)
 	err := opts.ForEachShard(w, func(_ int, s engine.Shard) error {
+		p := poller{opts: opts}
 		for i := s.Lo; i < s.Hi; i++ {
 			sh := shards[i]
 			d := make([]int32, n)
 			for j := range sh.us {
+				if err := p.add(1); err != nil {
+					return err
+				}
 				d[sh.us[j]]++
 				d[sh.vs[j]]++
 			}
@@ -125,7 +156,11 @@ func assembleCSR(n int, shards []*Builder, opts engine.Options) (*Graph, error) 
 	// ranges tile targets exactly, which is what makes pass 2 lock free.
 	offsets := make([]int32, n+1)
 	total := int32(0)
+	p := poller{opts: opts}
 	for v := 0; v < n; v++ {
+		if err := p.add(1); err != nil {
+			return nil, err
+		}
 		offsets[v] = total
 		for i := 0; i < w; i++ {
 			c := degs[i][v]
@@ -138,9 +173,13 @@ func assembleCSR(n int, shards []*Builder, opts engine.Options) (*Graph, error) 
 	// Pass 2: scatter, each shard through its own cursors.
 	targets := make([]int32, total)
 	err = opts.ForEachShard(w, func(_ int, s engine.Shard) error {
+		p := poller{opts: opts}
 		for i := s.Lo; i < s.Hi; i++ {
 			sh, cur := shards[i], degs[i]
 			for j := range sh.us {
+				if err := p.add(1); err != nil {
+					return err
+				}
 				u, v := sh.us[j], sh.vs[j]
 				targets[cur[u]] = v
 				cur[u]++
@@ -159,8 +198,12 @@ func assembleCSR(n int, shards []*Builder, opts engine.Options) (*Graph, error) 
 	// and a parallel compaction into the final targets array.
 	uniq := make([]int32, n)
 	err = opts.ForEachShard(n, func(_ int, s engine.Shard) error {
+		p := poller{opts: opts}
 		for v := s.Lo; v < s.Hi; v++ {
 			adj := targets[offsets[v]:offsets[v+1]]
+			if err := p.add(len(adj) + 1); err != nil {
+				return err
+			}
 			slices.Sort(adj)
 			c := int32(0)
 			for i, u := range adj {
@@ -185,8 +228,12 @@ func assembleCSR(n int, shards []*Builder, opts engine.Options) (*Graph, error) 
 	}
 	newTargets := make([]int32, newOffsets[n])
 	err = opts.ForEachShard(n, func(_ int, s engine.Shard) error {
+		p := poller{opts: opts}
 		for v := s.Lo; v < s.Hi; v++ {
 			adj := targets[offsets[v]:offsets[v+1]]
+			if err := p.add(len(adj) + 1); err != nil {
+				return err
+			}
 			write := newOffsets[v]
 			for i, u := range adj {
 				if i == 0 || adj[i-1] != u {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pslocal/internal/engine"
 )
@@ -149,5 +152,96 @@ func TestParallelBuildNoDuplicatesFastPath(t *testing.T) {
 	}
 	if g.M() != 3 {
 		t.Errorf("M = %d, want 3", g.M())
+	}
+}
+
+// pollCounter is a context that counts its Err polls and cancels itself
+// on the n-th (never when n <= 0), so a test can land a cancellation at
+// any poll site of an assembly.
+type pollCounter struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	polls  atomic.Int64
+}
+
+func cancelOnPoll(n int64) *pollCounter {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCounter{Context: ctx, cancel: cancel, n: n}
+}
+
+func (c *pollCounter) Err() error {
+	if c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestAssemblyPollsInsideLoops checks that every assembly loop polls its
+// context mid-loop, on one worker and on a pool. The instance has more
+// than 64 Ki edges, nodes and adjacency entries, and duplicates, so the
+// count, merge, scatter, sort and compaction loops all run long enough to
+// poll. An uncancelled build with the polling context stays byte-identical
+// to Build; cancelling at each poll in turn returns context.Canceled and
+// leaves no goroutine behind.
+func TestAssemblyPollsInsideLoops(t *testing.T) {
+	const n, m = 70_000, 200_000
+	rng := rand.New(rand.NewSource(21))
+	edges := randomEdges(n, m, rng)
+	build := func(opts engine.Options) (*Graph, error) {
+		sb := NewShardedBuilder(n, 2)
+		for i, e := range edges {
+			sb.Shard(i%2).AddEdge(e[0], e[1])
+		}
+		return sb.ParallelBuild(opts)
+	}
+	want, err := build(engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	countPolls := func(workers int) int64 {
+		ctx := cancelOnPoll(0)
+		g, err := build(engine.Options{Workers: workers, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameCSR(t, g, want)
+		return ctx.polls.Load()
+	}
+	tiny := cancelOnPoll(0)
+	sb := NewShardedBuilder(4, 2)
+	sb.Shard(0).AddEdge(0, 1)
+	sb.Shard(1).AddEdge(0, 1)
+	if _, err := sb.ParallelBuild(engine.Options{Workers: 1, Ctx: tiny}); err != nil {
+		t.Fatal(err)
+	}
+	// At one worker each loop polls once per 64 Ki units of its work:
+	// edges in count and scatter, nodes in merge, adjacency entries (two
+	// per edge, duplicates included) plus nodes in sort and compaction.
+	e := int64(len(edges))
+	midLoop := 2*(e/assemblePollEvery) + n/assemblePollEvery + 2*((2*e+n)/assemblePollEvery)
+	for _, workers := range []int{1, 2} {
+		total := countPolls(workers)
+		t.Logf("workers=%d: %d polls, %d on a tiny graph", workers, total, tiny.polls.Load())
+		if workers == 1 && total-tiny.polls.Load() != midLoop {
+			t.Fatalf("workers=1: %d polls beyond a tiny graph's %d, want %d mid-loop",
+				total-tiny.polls.Load(), tiny.polls.Load(), midLoop)
+		}
+		before := runtime.NumGoroutine()
+		for i := int64(1); i <= total; i++ {
+			ctx := cancelOnPoll(i)
+			_, err := build(engine.Options{Workers: workers, Ctx: ctx})
+			ctx.cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: cancel at poll %d of %d: error = %v, want context.Canceled", workers, i, total, err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: goroutines leaked: %d before, %d after", workers, before, runtime.NumGoroutine())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

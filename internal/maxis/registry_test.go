@@ -2,6 +2,8 @@ package maxis
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"pslocal/internal/graph"
@@ -108,20 +110,25 @@ func TestRegisterRejectsPortfolioCollisions(t *testing.T) {
 	}
 }
 
+// registerSeq keeps test registrations unique in the global, permanent
+// registry, so registering tests stay re-runnable under -count.
+var registerSeq atomic.Int64
+
 func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
+	name := fmt.Sprintf("test-only-oracle-%d", registerSeq.Add(1))
 	if err := Register("", func(int64) Oracle { return FirstFitOracle{} }); err == nil {
 		t.Error("Register with empty name succeeded")
 	}
 	if err := Register("exact", func(int64) Oracle { return ExactOracle{} }); err == nil {
 		t.Error("duplicate Register succeeded")
 	}
-	if err := Register("test-only-oracle", nil); err == nil {
+	if err := Register(name, nil); err == nil {
 		t.Error("Register with nil factory succeeded")
 	}
-	if err := Register("test-only-oracle", func(int64) Oracle { return FirstFitOracle{} }); err != nil {
+	if err := Register(name, func(int64) Oracle { return FirstFitOracle{} }); err != nil {
 		t.Errorf("fresh Register failed: %v", err)
 	}
-	o, err := Lookup("test-only-oracle", 0)
+	o, err := Lookup(name, 0)
 	if err != nil || o.Name() != "greedy-firstfit" {
 		t.Errorf("Lookup of fresh registration: %v, %v", o, err)
 	}

@@ -336,9 +336,9 @@ func (c *pollCounter) Err() error {
 
 // TestCancellationAtEveryPoll counts the context polls of a whole Solve,
 // then cancels on each of them in turn: whether the poll sits between
-// phases, inside the CSR build's emission loops, in greedy-mindeg's
-// degree pass or in its selection loop, the call returns ErrCancelled and
-// leaves no goroutine behind.
+// phases, inside the CSR build's emission or assembly loops, in
+// greedy-mindeg's degree pass or in its selection loop, the call returns
+// ErrCancelled and leaves no goroutine behind.
 func TestCancellationAtEveryPoll(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h, _, err := hypergraph.PlantedCF(400, 200, 3, 4, 8, rng)

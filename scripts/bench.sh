@@ -1,6 +1,7 @@
 #!/bin/sh
 # Runs the hot-path benchmarks (conflict-graph construction, reductions
-# including greedy-mindeg on the implicit G_k, oracle portfolio, SLOCAL
+# including greedy-mindeg on the implicit G_k at the heavy-tail and
+# reduce-fresh instance shapes, oracle portfolio, SLOCAL
 # simulator, Moser-Tardos splitting, span recording) and appends
 # the results to the perf trajectory (default BENCH_gk.json): a stable
 # {"schema":1,"history":[...]} document with one entry per run, keyed by
