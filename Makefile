@@ -35,7 +35,7 @@ bench-quick:
 	BENCH_QUICK=1 ./scripts/bench.sh
 
 # load-smoke drives a small cfload burst against a live cfserve, checks
-# the SLO report and /statz latency histograms, verifies replay
+# the SLO report and /metrics latency histograms, verifies replay
 # determinism, and records a "<sha>-load" entry in BENCH_gk.json.
 load-smoke:
 	./scripts/loadsmoke.sh

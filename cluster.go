@@ -33,10 +33,6 @@ type (
 	// GatewayConfig configures a Gateway (backends, routing policy,
 	// ring replicas, retry budget, body cap, probe settings).
 	GatewayConfig = cluster.Config
-	// GatewayStats is the gateway's /statz document.
-	GatewayStats = cluster.GatewayStats
-	// BackendStatz is one backend's row in GatewayStats.
-	BackendStatz = cluster.BackendStatz
 	// BackendHealth is the prober's view of one backend.
 	BackendHealth = cluster.BackendHealth
 	// RoutingPolicy selects how the gateway picks a backend

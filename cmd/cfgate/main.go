@@ -11,9 +11,9 @@
 //
 //	GET /healthz   gateway liveness
 //	GET /readyz    ready when at least one backend is admitted
-//	GET /statz     routing policy, per-backend health/in-flight/proxied
-//	GET /metrics   Prometheus exposition: request/reroute/failure counters,
-//	               per-backend proxy latency, retries, health and ejections
+//	GET /metrics   Prometheus exposition: routing policy, request/reroute/
+//	               failure counters, per-backend proxy latency, retries,
+//	               health, ejections, in-flight and proxied counts
 //
 // Every request carries an X-Pslocal-Request-Id — the client's when
 // valid, minted here otherwise — forwarded on every proxy attempt and

@@ -85,7 +85,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 		inflight = fs.Int("max-inflight", 0, "client-side in-flight request cap (0 = 512)")
 		label    = fs.String("label", "cfload", "label attached to job submissions")
-		noStatz  = fs.Bool("no-statz", false, "skip the /statz probes that derive the job wait/run split")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -142,7 +141,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Speed:       *speed,
 		MaxInflight: *inflight,
 		Label:       *label,
-		ProbeStatz:  !*noStatz,
 	}
 	rep, err := client.Run(ctx, trace)
 	if err != nil {

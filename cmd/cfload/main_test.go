@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"pslocal/internal/loadgen"
+	"pslocal/internal/obs"
 )
 
 func stubServer(t *testing.T) *httptest.Server {
@@ -29,7 +30,25 @@ func stubServer(t *testing.T) *httptest.Server {
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	jobs := 0
+	// The job counters cfload probes on /metrics: every job started and
+	// finished, with 3 ms of queue wait and 7 ms of run time each.
+	reg := obs.NewRegistry()
+	jobCounter := func(name string, scale float64) {
+		reg.CounterFunc(name, "Stub job counter.", func() float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			return float64(jobs) * scale
+		})
+	}
+	jobCounter("pslocal_jobs_started_total", 1)
+	jobCounter("pslocal_jobs_finished_total", 1)
+	jobCounter("pslocal_jobs_wait_seconds_total", 0.003)
+	jobCounter("pslocal_jobs_run_seconds_total", 0.007)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			reg.Handler().ServeHTTP(w, r)
+			return
+		}
 		body, _ := io.ReadAll(r.Body)
 		sum := sha256.Sum256(body)
 		hexSum := hex.EncodeToString(sum[:])
@@ -55,12 +74,6 @@ func stubServer(t *testing.T) *httptest.Server {
 			mu.Unlock()
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprintf(w, `{"job":{"id":%q,"state":"queued"}}`, hexSum)
-		case "/statz":
-			mu.Lock()
-			j := jobs
-			mu.Unlock()
-			fmt.Fprintf(w, `{"jobs":{"started":%d,"finished":%d,"wait_sum_ms":%d,"run_sum_ms":%d}}`,
-				j, j, j*3, j*7)
 		default:
 			http.Error(w, `{"error":"no route"}`, http.StatusNotFound)
 		}
@@ -156,7 +169,7 @@ func TestCustomMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, _, err := runCLI(t, "-addr", srv.URL, "-requests", "10", "-rate", "4000",
-		"-hit-ratio", "0", "-mix", mix, "-no-statz")
+		"-hit-ratio", "0", "-mix", mix)
 	if err != nil {
 		t.Fatalf("custom mix run: %v", err)
 	}
@@ -171,7 +184,7 @@ func TestCustomMix(t *testing.T) {
 
 func TestServerUnreachableFails(t *testing.T) {
 	_, _, err := runCLI(t, "-addr", "http://127.0.0.1:1", "-requests", "3",
-		"-rate", "4000", "-timeout", "2s", "-no-statz")
+		"-rate", "4000", "-timeout", "2s")
 	if err == nil {
 		t.Fatal("run against a dead server reported success")
 	}

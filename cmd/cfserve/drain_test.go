@@ -126,8 +126,9 @@ func TestReadyzDrainzLifecycle(t *testing.T) {
 		}
 	}
 
-	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
-		t.Errorf("readyz while draining: %d, want 503", code)
+	// Readiness is the drain state's one report: 503 and "draining".
+	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusServiceUnavailable || ready.Status != "draining" {
+		t.Errorf("readyz while draining: %d %q, want 503 draining", code, ready.Status)
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz while draining: %d, want 200 (liveness is not readiness)", code)
@@ -148,14 +149,7 @@ func TestReadyzDrainzLifecycle(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/jobs", nil); code != http.StatusOK {
 		t.Errorf("GET /v1/jobs while draining: %d, want 200 (reads stay open)", code)
 	}
-
-	var statz statzResponse
-	if code := getJSON(t, ts.URL+"/statz", &statz); code != http.StatusOK {
-		t.Fatalf("statz: %d", code)
-	}
-	if statz.Ready || !statz.Draining {
-		t.Errorf("statz while draining: ready %t, draining %t", statz.Ready, statz.Draining)
-	}
+	scrapeMetrics(t, ts.URL) // /metrics stays open while draining too
 	_ = s
 }
 

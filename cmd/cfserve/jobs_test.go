@@ -2,8 +2,8 @@ package main
 
 // jobs_test.go covers the /v1/jobs API surface: submit/poll/result,
 // dedupe, restart recovery over a persistent store, cancellation, SSE
-// events, list filtering, queue overflow, statz merging, and the JSON
-// 404/405 envelope regression the satellite task pins.
+// events, list filtering, queue overflow, the job counters on /metrics,
+// and the JSON 404/405 envelope for unmatched routes.
 
 import (
 	"bufio"
@@ -430,27 +430,22 @@ func TestJobQueueFullReturns503(t *testing.T) {
 	}
 }
 
-func TestStatzMergesJobCounters(t *testing.T) {
+func TestMetricsJobCounters(t *testing.T) {
 	_, ts := newTestServer(t)
 	sub, status := submitJob(t, ts.URL+"/v1/jobs?k=3", quickstartBody(t))
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d", status)
 	}
 	pollJob(t, ts.URL, sub.Job.ID)
-	resp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
+	e := scrapeMetrics(t, ts.URL)
+	submitted := metricValue(t, e, "pslocal_jobs_submitted_total")
+	completed := metricValue(t, e, "pslocal_jobs_completed_total")
+	workers := metricValue(t, e, "pslocal_job_workers")
+	if submitted != 1 || completed != 1 || workers != 2 {
+		t.Errorf("job metrics: %g submitted, %g completed, %g workers; want 1, 1, 2", submitted, completed, workers)
 	}
-	defer resp.Body.Close()
-	var stats statzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Jobs.Submitted != 1 || stats.Jobs.Completed != 1 || stats.Jobs.Workers != 2 {
-		t.Errorf("statz jobs = %+v, want 1 submitted, 1 completed, 2 workers", stats.Jobs)
-	}
-	if stats.Jobs.QueueDepth != 0 || stats.Jobs.Running != 0 {
-		t.Errorf("statz job gauges = %+v, want quiescent", stats.Jobs)
+	if depth, running := metricValue(t, e, "pslocal_jobs_queue_depth"), metricValue(t, e, "pslocal_jobs_running"); depth != 0 || running != 0 {
+		t.Errorf("job gauges: queue depth %g, running %g; want quiescent", depth, running)
 	}
 }
 

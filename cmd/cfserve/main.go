@@ -19,8 +19,8 @@
 //	GET    /healthz         liveness (200 even while draining)
 //	GET    /readyz          readiness (503 while draining — what cfgate probes)
 //	POST   /drainz          start a graceful drain: stop admitting, finish running jobs
-//	GET    /statz           request/cache/inflight/job counters as JSON
-//	GET    /metrics         the same counters as a Prometheus text exposition
+//	GET    /metrics         request/cache/inflight/job counters and latency
+//	                        histograms as a Prometheus text exposition
 //	GET    /v1/traces       recent solve traces newest-first, ?limit=N (ring sized by -trace-ring)
 //
 // Observability: ?trace=1 on the solve endpoints embeds the per-phase
@@ -156,7 +156,7 @@ func run() error {
 		}
 		logger.Info("listening",
 			"addr", *addr,
-			"endpoints", "POST /v1/reduce, POST /v1/maxis, /v1/jobs..., GET /metrics, GET /v1/traces, GET /healthz, GET /statz",
+			"endpoints", "POST /v1/reduce, POST /v1/maxis, /v1/jobs..., GET /metrics, GET /v1/traces, GET /healthz",
 			"job_store", store)
 		errc <- httpServer.ListenAndServe()
 	}()

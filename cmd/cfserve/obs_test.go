@@ -1,8 +1,8 @@
 package main
 
 // obs_test.go covers the observability surface end to end over HTTP:
-// GET /metrics serves a Prometheus exposition whose families match the
-// /statz counters, ?trace=1 embeds a span tree whose children account
+// GET /metrics serves a valid Prometheus exposition whose samples match
+// the registry handles, ?trace=1 embeds a span tree whose children account
 // for no more than the root's duration, GET /v1/traces retains finished
 // traces newest-first, and every response echoes a request id — the
 // caller's when valid, a fresh one otherwise.
@@ -15,10 +15,11 @@ import (
 	"testing"
 
 	"pslocal"
+	"pslocal/internal/obs"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	body := quickstartBody(t)
 	var out json.RawMessage
 	if resp := postInstance(t, ts.URL+"/v1/reduce?k=2&oracle=greedy-mindeg", body, &out); resp.StatusCode != http.StatusOK {
@@ -55,10 +56,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// /statz and /metrics render from the same registry handles.
-	st := getStatz(t, ts.URL)
-	if st.Reduces != 1 || st.Latency["reduce"].Count != 1 {
-		t.Errorf("statz disagrees with the exposition: reduces=%d latency=%+v", st.Reduces, st.Latency["reduce"])
+	// The exposition is valid and its samples are the registry handles'
+	// values (this scrape counts itself before rendering).
+	e, err := obs.ParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("/metrics is not a valid exposition: %v", err)
+	}
+	if got, _ := e.Value("pslocal_solves_total", obs.L("endpoint", "reduce")); got != float64(s.met.reduces.Value()) || got != 1 {
+		t.Errorf("exposition reduces = %g, handle = %d, want both 1", got, s.met.reduces.Value())
+	}
+	if got, _ := e.Value("pslocal_requests_total"); got != float64(s.met.requests.Value()) {
+		t.Errorf("exposition requests = %g, handle = %d", got, s.met.requests.Value())
 	}
 }
 

@@ -27,12 +27,12 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pslocal"
+	"pslocal/internal/obs"
 )
 
 // encodeBuf is one pooled response encoder: a reusable buffer with a
@@ -120,9 +120,9 @@ type server struct {
 	drainEjectedOnce sync.Once
 	drainProbes      atomic.Int64
 
-	// met is the metrics surface shared by GET /metrics and /statz;
-	// traces is the ring GET /v1/traces serves (job runs push into the
-	// same ring through the manager).
+	// met is the metrics surface GET /metrics renders; traces is the
+	// ring GET /v1/traces serves (job runs push into the same ring
+	// through the manager).
 	met    *serverMetrics
 	traces *pslocal.TraceRing
 	logger *slog.Logger
@@ -171,7 +171,7 @@ func newServer(cfg config) (*server, error) {
 		return nil, err
 	}
 	s.jobs = jm
-	s.met = newServerMetrics(s.solver, s.jobs)
+	s.met = newServerMetrics(s.solver, s.jobs, cfg.maxWorkers)
 	s.mux.HandleFunc("POST /v1/reduce", s.handleReduce)
 	s.mux.HandleFunc("POST /v1/maxis", s.handleMaxIS)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -183,7 +183,6 @@ func newServer(cfg config) (*server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("POST /drainz", s.handleDrainz)
-	s.mux.HandleFunc("GET /statz", s.handleStatz)
 	s.mux.Handle("GET /metrics", s.met.reg.Handler())
 	return s, nil
 }
@@ -226,41 +225,10 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(pslocal.RequestIDHeader, rid)
 	if _, pattern := s.mux.Handler(r); pattern == "" {
 		s.met.failures.Inc()
-		s.mux.ServeHTTP(&jsonErrorRewriter{w: w}, r)
+		s.mux.ServeHTTP(obs.JSONErrorWriter(w), r)
 		return
 	}
 	s.mux.ServeHTTP(w, r)
-}
-
-// jsonErrorRewriter wraps a ResponseWriter so the ServeMux's built-in
-// plain-text 404/405 bodies come out as the service's JSON error
-// envelope, preserving the status and the 405's Allow header.
-type jsonErrorRewriter struct {
-	w     http.ResponseWriter
-	wrote bool
-}
-
-func (j *jsonErrorRewriter) Header() http.Header { return j.w.Header() }
-
-func (j *jsonErrorRewriter) WriteHeader(status int) {
-	j.w.Header().Set("Content-Type", "application/json")
-	j.w.WriteHeader(status)
-}
-
-func (j *jsonErrorRewriter) Write(p []byte) (int, error) {
-	if !j.wrote {
-		j.wrote = true
-		body, err := json.Marshal(map[string]string{"error": strings.TrimSpace(string(p))})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := j.w.Write(append(body, '\n')); err != nil {
-			return 0, err
-		}
-	}
-	// Report the caller's bytes as consumed either way: the envelope
-	// replaces the text body rather than appending to it.
-	return len(p), nil
 }
 
 // instanceInfo describes the parsed instance and its cache disposition in
@@ -312,7 +280,7 @@ type reduceResponse struct {
 
 // refuseDraining rejects new work on a draining server with 503 and a
 // retry hint, reporting whether the request was refused. Reads (job
-// status, lists, events, statz) stay open so operators and the gateway
+// status, lists, events, metrics) stay open so operators and the gateway
 // can watch the drain finish.
 func (s *server) refuseDraining(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
@@ -585,57 +553,13 @@ func (s *server) handleDrainz(w http.ResponseWriter, _ *http.Request) {
 	first := s.draining.CompareAndSwap(false, true)
 	if first {
 		// The waiter runs detached: /drainz answers immediately and the
-		// caller polls /readyz or /statz for quiescence.
+		// caller polls /readyz for quiescence.
 		go s.jobs.Drain(context.Background())
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"draining": true,
 		"started":  first,
 		"jobs":     s.jobs.Stats(),
-	})
-}
-
-// statzResponse is the /statz metrics snapshot; Jobs merges in the job
-// subsystem's counters (queue depth, running, outcomes, latency sums).
-type statzResponse struct {
-	UptimeS     float64                  `json:"uptime_s"`
-	Ready       bool                     `json:"ready"`
-	Draining    bool                     `json:"draining"`
-	Requests    uint64                   `json:"requests"`
-	Reduces     uint64                   `json:"reduces"`
-	Solves      uint64                   `json:"solves"`
-	Failures    uint64                   `json:"failures"`
-	Canceled    uint64                   `json:"canceled"`
-	Inflight    int                      `json:"inflight"`
-	MaxInflight int                      `json:"max_inflight"`
-	MaxWorkers  int                      `json:"max_workers"`
-	Cache       pslocal.SolverCacheStats `json:"cache"`
-	Jobs        pslocal.JobStats         `json:"jobs"`
-	// Latency carries per-track response-latency histograms: reduce,
-	// maxis, jobs_submit, and the solve samples split into cache_hit /
-	// cache_miss (cold parse+CSR vs hot instance-cache path).
-	Latency map[string]pslocal.MetricsHistSnapshot `json:"latency"`
-}
-
-// handleStatz reports the service counters, the Solver's cache and
-// admission statistics, and the job subsystem's counters.
-func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	draining := s.draining.Load()
-	s.writeJSON(w, http.StatusOK, statzResponse{
-		UptimeS:     time.Since(s.start).Seconds(),
-		Ready:       !draining,
-		Draining:    draining,
-		Requests:    s.met.requests.Value(),
-		Reduces:     s.met.reduces.Value(),
-		Solves:      s.met.solves.Value(),
-		Failures:    s.met.failures.Value(),
-		Canceled:    s.met.canceled.Value(),
-		Inflight:    s.solver.InFlight(),
-		MaxInflight: s.solver.MaxInFlight(),
-		MaxWorkers:  s.cfg.maxWorkers,
-		Cache:       s.solver.CacheStats(),
-		Jobs:        s.jobs.Stats(),
-		Latency:     s.met.latencySnapshot(),
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"pslocal/internal/graph"
 	"pslocal/internal/graphio"
+	"pslocal/internal/obs"
 )
 
 // newTestServer returns a started httptest server over a fresh service
@@ -282,7 +283,7 @@ func TestCancellationMidReduction(t *testing.T) {
 	}
 }
 
-func TestHealthzAndStatz(t *testing.T) {
+func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -293,26 +294,22 @@ func TestHealthzAndStatz(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
-	// One miss then one hit, visible in /statz.
+	// One miss then one hit, visible in /metrics.
 	body := quickstartBody(t)
 	for i := 0; i < 2; i++ {
 		var out map[string]any
 		postInstance(t, ts.URL+"/v1/reduce?k=3", body, &out)
 	}
-	sresp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
+	e := scrapeMetrics(t, ts.URL)
+	reduces := metricValue(t, e, "pslocal_solves_total", obs.L("endpoint", "reduce"))
+	hits := metricValue(t, e, "pslocal_cache_hits_total")
+	misses := metricValue(t, e, "pslocal_cache_misses_total")
+	entries := metricValue(t, e, "pslocal_cache_entries")
+	if reduces != 2 || hits != 1 || misses != 1 || entries != 1 {
+		t.Errorf("metrics: %g reduces, %g hits, %g misses, %g entries; want 2, 1, 1, 1", reduces, hits, misses, entries)
 	}
-	defer sresp.Body.Close()
-	var stats statzResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Reduces != 2 || stats.Cache.Hits != 1 || stats.Cache.Misses != 1 || stats.Cache.Entries != 1 {
-		t.Errorf("statz = %+v, want 2 reduces, 1 hit, 1 miss, 1 entry", stats)
-	}
-	if stats.MaxInflight != 2 || stats.MaxWorkers != 2 {
-		t.Errorf("statz limits = %+v", stats)
+	if inflight, workers := metricValue(t, e, "pslocal_max_inflight"), metricValue(t, e, "pslocal_max_workers"); inflight != 2 || workers != 2 {
+		t.Errorf("metrics limits: max_inflight %g, max_workers %g; want 2, 2", inflight, workers)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pslocal/internal/graphio"
+	"pslocal/internal/obs"
 	"pslocal/internal/solver"
 )
 
@@ -269,7 +270,7 @@ func TestGatewayRetriesRefusingBackend(t *testing.T) {
 	if next := rec.Header().Get(HeaderBackend); next == owner || next == "" {
 		t.Fatalf("rerouted to %q, want a different backend", next)
 	}
-	if g.Stats().Rerouted == 0 {
+	if gatewayMetric(t, scrapeGateway(t, g), "cfgate_rerouted_total") == 0 {
 		t.Fatal("reroute not counted")
 	}
 }
@@ -313,7 +314,7 @@ func TestGatewayAllBackendsDown(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("relayed 503 lost its Retry-After header")
 	}
-	if g.Stats().Failures == 0 {
+	if gatewayMetric(t, scrapeGateway(t, g), "cfgate_failures_total") == 0 {
 		t.Fatal("exhausted plan not counted as a failure")
 	}
 }
@@ -428,26 +429,37 @@ func TestGatewayReadyzReflectsBackends(t *testing.T) {
 	}
 }
 
-func TestGatewayStatzCountsPerBackend(t *testing.T) {
+func TestGatewayMetricsCountsPerBackend(t *testing.T) {
 	b1, b2 := newSolveBackend(t, "b1"), newSolveBackend(t, "b2")
 	g := newTestGateway(t, Config{Backends: []string{b1.srv.URL, b2.srv.URL}, Policy: PolicyRoundRobin})
 	body := "hypergraph 3 1\n0 1 2\n"
 	for i := 0; i < 4; i++ {
 		postReduce(t, g, body)
 	}
-	st := g.Stats()
-	if st.Requests != 4 || len(st.Backends) != 2 {
-		t.Fatalf("stats = %+v", st)
+	e := scrapeGateway(t, g)
+	// The four reduces plus this scrape.
+	if got := gatewayMetric(t, e, "cfgate_requests_total"); got != 5 {
+		t.Fatalf("cfgate_requests_total = %g, want 5", got)
 	}
-	var proxied uint64
-	for _, row := range st.Backends {
-		proxied += row.Proxied
-		if row.InFlight != 0 {
-			t.Fatalf("in-flight %d after requests completed", row.InFlight)
+	rows := 0
+	for _, s := range e.Samples {
+		if s.Name == "cfgate_backend_proxied_total" {
+			rows++
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("%d cfgate_backend_proxied_total series, want one per backend (2)", rows)
+	}
+	var proxied float64
+	for _, b := range []string{b1.srv.URL, b2.srv.URL} {
+		label := obs.L("backend", b)
+		proxied += gatewayMetric(t, e, "cfgate_backend_proxied_total", label)
+		if inflight := gatewayMetric(t, e, "cfgate_backend_inflight", label); inflight != 0 {
+			t.Fatalf("in-flight %g on %s after requests completed", inflight, b)
 		}
 	}
 	if proxied != 4 {
-		t.Fatalf("proxied sum = %d, want 4", proxied)
+		t.Fatalf("proxied sum = %g, want 4", proxied)
 	}
 }
 

@@ -51,7 +51,7 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 	return c
 }
 
-// BackendHealth is one backend's availability snapshot (statz).
+// BackendHealth is one backend's availability snapshot.
 type BackendHealth struct {
 	Backend string `json:"backend"`
 	Healthy bool   `json:"healthy"`

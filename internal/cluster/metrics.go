@@ -1,9 +1,8 @@
 package cluster
 
 // metrics.go is the gateway's metrics surface: one obs.Registry renders
-// GET /metrics in the Prometheus text format. The request counters are
-// the same handles Stats() (the /statz document) reads, so the two
-// expositions can never disagree; per-backend series — proxy-attempt
+// GET /metrics in the Prometheus text format. cfgate_info carries the
+// routing policy as a label; per-backend series — proxy-attempt
 // latency, retried attempts, health, ejections, in-flight and proxied
 // totals — are labeled by backend URL and either hit typed handles on
 // the proxy path or read through func-backed series at scrape time.
@@ -40,6 +39,8 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 		proxy:    make(map[string]*obs.Histogram),
 		retries:  make(map[string]*obs.Counter),
 	}
+	reg.Gauge("cfgate_info", "Gateway configuration; the routing policy is the policy label.",
+		obs.L("policy", string(g.cfg.Policy))).Set(1)
 	for _, b := range g.ring.Backends() {
 		backend := b
 		label := obs.Label{Key: "backend", Value: backend}

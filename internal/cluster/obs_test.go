@@ -2,7 +2,8 @@ package cluster
 
 // obs_test.go covers the gateway's observability surface: request-id
 // propagation (minted when absent, forwarded verbatim when valid, both
-// echoed on the response) and the Prometheus exposition on GET /metrics.
+// echoed on the response) and the Prometheus exposition on GET /metrics,
+// which every scrape here parses with the exposition validator.
 
 import (
 	"io"
@@ -77,6 +78,32 @@ func TestGatewayRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// scrapeGateway serves GET /metrics and parses it with the exposition
+// validator.
+func scrapeGateway(t *testing.T, g *Gateway) *obs.Exposition {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+	e, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatalf("/metrics is not a valid exposition: %v", err)
+	}
+	return e
+}
+
+// gatewayMetric reads one series, failing the test when it is missing.
+func gatewayMetric(t *testing.T, e *obs.Exposition, name string, labels ...obs.Label) float64 {
+	t.Helper()
+	v, ok := e.Value(name, labels...)
+	if !ok {
+		t.Fatalf("/metrics has no %s%v series", name, labels)
+	}
+	return v
+}
+
 func TestGatewayMetricsEndpoint(t *testing.T) {
 	b1, b2 := newSolveBackend(t, "b1"), newSolveBackend(t, "b2")
 	g := newTestGateway(t, Config{Backends: []string{b1.srv.URL, b2.srv.URL}})
@@ -112,5 +139,21 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	count := strings.Count(text, "cfgate_proxy_duration_seconds_count")
 	if count != 2 {
 		t.Errorf("want one proxy histogram per backend (2), found %d _count series", count)
+	}
+
+	// The exposition is valid and names the routing policy.
+	e, err := obs.ParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("/metrics is not a valid exposition: %v", err)
+	}
+	if got := gatewayMetric(t, e, "cfgate_info", obs.L("policy", string(PolicyAffinity))); got != 1 {
+		t.Errorf(`cfgate_info{policy="affinity"} = %g, want 1`, got)
+	}
+	var attempts float64
+	for _, b := range []string{b1.srv.URL, b2.srv.URL} {
+		attempts += gatewayMetric(t, e, "cfgate_proxy_duration_seconds_count", obs.L("backend", b))
+	}
+	if attempts != 1 {
+		t.Errorf("proxy attempts across backends = %g, want 1", attempts)
 	}
 }

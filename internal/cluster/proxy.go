@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"net/textproto"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,11 +81,10 @@ type Gateway struct {
 	loads  *loadTracker
 	client *http.Client
 	mux    *http.ServeMux
-	start  time.Time
 	logger *slog.Logger
 
-	// met owns the request counters (shared by /statz and /metrics) and
-	// the per-backend proxy series. Built after the ring in New.
+	// met owns the request counters and the per-backend proxy series
+	// GET /metrics renders. Built after the ring in New.
 	met *gatewayMetrics
 
 	proxiedMu sync.Mutex
@@ -135,7 +133,6 @@ func New(cfg Config) (*Gateway, error) {
 		bal:    &balancer{ring: ring, health: hlth, loads: loads, saturation: int64(cfg.BackendInflight)},
 		client: &http.Client{Transport: cfg.Transport}, // no client timeout: solves are long; contexts bound them
 		mux:    http.NewServeMux(),
-		start:  time.Now(),
 		logger: logger,
 		proxied: func() map[string]*atomic.Uint64 {
 			m := make(map[string]*atomic.Uint64, len(backends))
@@ -155,12 +152,11 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("GET /v1/jobs/{id}/events", g.handleJobByID)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
-	g.mux.HandleFunc("GET /statz", g.handleStatz)
 	g.mux.Handle("GET /metrics", g.met.reg.Handler())
 	return g, nil
 }
 
-// Ring exposes the routing ring (statz, tests).
+// Ring exposes the routing ring (tests).
 func (g *Gateway) Ring() *Ring { return g.ring }
 
 // Run drives the health prober until ctx is done (callers run it in a
@@ -185,42 +181,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(obs.RequestIDHeader, rid)
 	if _, pattern := g.mux.Handler(r); pattern == "" {
 		g.met.failures.Inc()
-		g.mux.ServeHTTP(&jsonErrorRewriter{w: w}, r)
+		g.mux.ServeHTTP(obs.JSONErrorWriter(w), r)
 		return
 	}
 	g.mux.ServeHTTP(w, r)
-}
-
-// jsonErrorRewriter wraps a ResponseWriter so the ServeMux's built-in
-// plain-text 404/405 bodies come out as the JSON error envelope,
-// preserving the status and the 405's Allow header (same shape as
-// cfserve's fallback rewriting, so gateway and backend errors match).
-type jsonErrorRewriter struct {
-	w     http.ResponseWriter
-	wrote bool
-}
-
-func (j *jsonErrorRewriter) Header() http.Header { return j.w.Header() }
-
-func (j *jsonErrorRewriter) WriteHeader(status int) {
-	j.w.Header().Set("Content-Type", "application/json")
-	j.w.WriteHeader(status)
-}
-
-func (j *jsonErrorRewriter) Write(p []byte) (int, error) {
-	if !j.wrote {
-		j.wrote = true
-		body, err := json.Marshal(map[string]string{"error": strings.TrimSpace(string(p))})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := j.w.Write(append(body, '\n')); err != nil {
-			return 0, err
-		}
-	}
-	// Report the caller's bytes as consumed either way: the envelope
-	// replaces the text body rather than appending to it.
-	return len(p), nil
 }
 
 // writeError emits the service's JSON error envelope.
@@ -601,63 +565,4 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	json.NewEncoder(w).Encode(map[string]any{"status": "ready", "healthy_backends": len(healthy)})
-}
-
-// BackendStatz is one backend's statz row.
-type BackendStatz struct {
-	BackendHealth
-	InFlight int64  `json:"in_flight"`
-	Proxied  uint64 `json:"proxied"`
-}
-
-// GatewayStats is the gateway's /statz document.
-type GatewayStats struct {
-	Service  string         `json:"service"`
-	Policy   Policy         `json:"policy"`
-	UptimeMS float64        `json:"uptime_ms"`
-	Requests uint64         `json:"requests"`
-	Rerouted uint64         `json:"rerouted"`
-	Failures uint64         `json:"failures"`
-	Backends []BackendStatz `json:"backends"`
-}
-
-// Stats snapshots the gateway (the /statz payload).
-func (g *Gateway) Stats() GatewayStats {
-	hs := g.hlth.snapshot()
-	names := make([]string, 0, len(hs))
-	for name := range hs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rows := make([]BackendStatz, 0, len(names))
-	g.proxiedMu.Lock()
-	for _, name := range names {
-		var proxied uint64
-		if c, ok := g.proxied[name]; ok {
-			proxied = c.Load()
-		}
-		rows = append(rows, BackendStatz{
-			BackendHealth: hs[name],
-			InFlight:      g.loads.load(name),
-			Proxied:       proxied,
-		})
-	}
-	g.proxiedMu.Unlock()
-	return GatewayStats{
-		Service:  "cfgate",
-		Policy:   g.cfg.Policy,
-		UptimeMS: float64(time.Since(g.start).Microseconds()) / 1000,
-		Requests: g.met.requests.Value(),
-		Rerouted: g.met.rerouted.Value(),
-		Failures: g.met.failures.Value(),
-		Backends: rows,
-	}
-}
-
-// handleStatz serves the stats document.
-func (g *Gateway) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(g.Stats())
 }

@@ -1,8 +1,9 @@
 package jobs
 
 // metrics.go carries the subsystem's counters: submissions, terminal
-// outcomes, retries, queue/running gauges and latency sums. cfserve's
-// /statz merges a Stats snapshot in, and cfbatch prints one as its final
+// outcomes, retries, queue/running gauges and latency sums. cfserve
+// exports a Stats snapshot on GET /metrics and embeds one in its
+// /readyz and /drainz answers, and cfbatch prints one as its final
 // summary.
 
 import "sync/atomic"

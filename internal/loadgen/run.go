@@ -40,9 +40,6 @@ type Client struct {
 	MaxInflight int
 	// Label tags job submissions (jobs endpoint only).
 	Label string
-	// ProbeStatz controls the /statz probe taken before and after the
-	// run, whose delta yields the jobs queue-wait/run split.
-	ProbeStatz bool
 }
 
 // DefaultHTTPClient builds the client Run uses when none is supplied:
@@ -87,10 +84,9 @@ func (c *Client) Run(ctx context.Context, t *Trace) (*Report, error) {
 		return nil, fmt.Errorf("loadgen: base URL: %w", err)
 	}
 
-	var before *statzJobs
-	if c.ProbeStatz {
-		before = c.probeStatz(ctx, httpc, base)
-	}
+	// The job counters read before and after the run yield the jobs
+	// queue-wait/run split.
+	before := probeJobs(ctx, httpc, base)
 
 	bodies := newBodyCache()
 	sem := make(chan struct{}, maxInflight)
@@ -124,8 +120,8 @@ func (c *Client) Run(ctx context.Context, t *Trace) (*Report, error) {
 	durationS := time.Since(start).Seconds()
 
 	var split *JobsSplit
-	if c.ProbeStatz && before != nil {
-		if after := c.probeStatz(ctx, httpc, base); after != nil {
+	if before != nil {
+		if after := probeJobs(ctx, httpc, base); after != nil {
 			split = jobsDelta(before, after)
 		}
 	}
@@ -236,22 +232,18 @@ func (c *Client) do(ctx context.Context, httpc *http.Client, base *url.URL, bodi
 	return o
 }
 
-// statzJobs is the slice of /statz this package reads: the job
-// subsystem's started/finished counters and wait/run latency sums.
-type statzJobs struct {
-	Jobs struct {
-		Started   uint64  `json:"started"`
-		Finished  uint64  `json:"finished"`
-		WaitSumMS float64 `json:"wait_sum_ms"`
-		RunSumMS  float64 `json:"run_sum_ms"`
-	} `json:"jobs"`
+// jobCounters is the slice of GET /metrics this package reads: the job
+// subsystem's started/finished counters and wait/run time sums.
+type jobCounters struct {
+	started, finished, waitS, runS float64
 }
 
-// probeStatz reads /statz, returning nil on any failure — the split is
-// an enrichment, never a reason to fail a run.
-func (c *Client) probeStatz(ctx context.Context, httpc *http.Client, base *url.URL) *statzJobs {
+// probeJobs reads the job counters from /metrics, returning nil on any
+// failure or missing series — the split is an enrichment, never a reason
+// to fail a run.
+func probeJobs(ctx context.Context, httpc *http.Client, base *url.URL) *jobCounters {
 	u := *base
-	u.Path = "/statz"
+	u.Path = "/metrics"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
 		return nil
@@ -264,26 +256,47 @@ func (c *Client) probeStatz(ctx context.Context, httpc *http.Client, base *url.U
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var s statzJobs
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&s); err != nil {
+	e, err := obs.ParseExposition(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
 		return nil
 	}
-	return &s
+	var c jobCounters
+	for _, s := range []struct {
+		name string
+		dst  *float64
+	}{
+		{"pslocal_jobs_started_total", &c.started},
+		{"pslocal_jobs_finished_total", &c.finished},
+		{"pslocal_jobs_wait_seconds_total", &c.waitS},
+		{"pslocal_jobs_run_seconds_total", &c.runS},
+	} {
+		v, ok := e.Value(s.name)
+		if !ok {
+			return nil
+		}
+		*s.dst = v
+	}
+	return &c
 }
 
-// jobsDelta derives the run's queue-wait/run split from two /statz
-// snapshots.
-func jobsDelta(before, after *statzJobs) *JobsSplit {
-	started := after.Jobs.Started - before.Jobs.Started
-	finished := after.Jobs.Finished - before.Jobs.Finished
+// jobsDelta derives the run's queue-wait/run split from two probes. A
+// counter that went down means the server restarted between them, so no
+// split is reported.
+func jobsDelta(before, after *jobCounters) *JobsSplit {
+	if after.started < before.started || after.finished < before.finished ||
+		after.waitS < before.waitS || after.runS < before.runS {
+		return nil
+	}
+	started := uint64(after.started - before.started)
+	finished := uint64(after.finished - before.finished)
 	if started == 0 && finished == 0 {
 		return nil
 	}
 	s := &JobsSplit{
 		Started:   started,
 		Finished:  finished,
-		WaitSumMS: after.Jobs.WaitSumMS - before.Jobs.WaitSumMS,
-		RunSumMS:  after.Jobs.RunSumMS - before.Jobs.RunSumMS,
+		WaitSumMS: (after.waitS - before.waitS) * 1e3,
+		RunSumMS:  (after.runS - before.runS) * 1e3,
 	}
 	if started > 0 {
 		s.WaitMeanMS = s.WaitSumMS / float64(started)

@@ -17,18 +17,54 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pslocal/internal/obs"
 )
 
 // stubServe is a deterministic stand-in for cfserve: every response
 // field the runner parses is a pure function of the request body hash,
 // except the cache disposition, which (like the real server) depends on
-// what the stub has seen before.
+// what the stub has seen before. Its /metrics job counters give a wait
+// mean of 2 ms and a run mean of 5 ms.
 func stubServe(t *testing.T) *httptest.Server {
+	return newStub(t, false)
+}
+
+// newStub is stubServe; with restart set, the stub starts from the
+// counters of a long-lived server and restarts (zeroes them) right
+// after its first /metrics scrape, so the counters drop between the
+// runner's two probes.
+func newStub(t *testing.T, restart bool) *httptest.Server {
 	t.Helper()
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	var jobsStarted, jobsFinished int
+	if restart {
+		jobsStarted, jobsFinished = 1000, 1000
+	}
+	reg := obs.NewRegistry()
+	jobCounter := func(name string, read func() float64) {
+		reg.CounterFunc(name, "Stub job counter.", func() float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			return read()
+		})
+	}
+	jobCounter("pslocal_jobs_started_total", func() float64 { return float64(jobsStarted) })
+	jobCounter("pslocal_jobs_finished_total", func() float64 { return float64(jobsFinished) })
+	jobCounter("pslocal_jobs_wait_seconds_total", func() float64 { return float64(jobsStarted) * 0.002 })
+	jobCounter("pslocal_jobs_run_seconds_total", func() float64 { return float64(jobsFinished) * 0.005 })
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			reg.Handler().ServeHTTP(w, r)
+			mu.Lock()
+			if restart {
+				restart = false
+				jobsStarted, jobsFinished = 0, 0
+			}
+			mu.Unlock()
+			return
+		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			http.Error(w, `{"error":"read"}`, http.StatusBadRequest)
@@ -59,12 +95,6 @@ func stubServe(t *testing.T) *httptest.Server {
 			mu.Unlock()
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprintf(w, `{"job":{"id":%q,"state":"queued"}}`, hexSum)
-		case "/statz":
-			mu.Lock()
-			s, f := jobsStarted, jobsFinished
-			mu.Unlock()
-			fmt.Fprintf(w, `{"jobs":{"started":%d,"finished":%d,"wait_sum_ms":%d,"run_sum_ms":%d}}`,
-				s, f, s*2, f*5)
 		default:
 			http.Error(w, `{"error":"no route"}`, http.StatusNotFound)
 		}
@@ -77,8 +107,7 @@ func stubServe(t *testing.T) *httptest.Server {
 func runOnce(t *testing.T, tr *Trace) *Report {
 	t.Helper()
 	srv := stubServe(t)
-	c := &Client{BaseURL: srv.URL, Speed: 0, ProbeStatz: true,
-		HTTP: &http.Client{Timeout: 10 * time.Second}}
+	c := &Client{BaseURL: srv.URL, Speed: 0, HTTP: &http.Client{Timeout: 10 * time.Second}}
 	rep, err := c.Run(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -131,12 +160,48 @@ func TestRunFillsOutcomes(t *testing.T) {
 	if rep.Perf.SLO.Eligible != len(tr.Records) || rep.Perf.SLO.Attained == 0 {
 		t.Fatalf("SLO report implausible: %+v", rep.Perf.SLO)
 	}
-	// The jobs class ran, so the statz delta must carry the split.
+	// The jobs class ran, so the /metrics delta must carry the split.
 	if rep.Perf.Jobs == nil || rep.Perf.Jobs.Started == 0 {
 		t.Fatalf("jobs wait/run split missing: %+v", rep.Perf.Jobs)
 	}
 	if rep.Perf.Jobs.WaitMeanMS != 2 || rep.Perf.Jobs.RunMeanMS != 5 {
 		t.Fatalf("split means wrong: %+v", rep.Perf.Jobs)
+	}
+}
+
+// TestJobsSplitNilOnCounterReset: a server that restarts between the
+// two probes reports counters lower than before; the unsigned delta
+// would wrap to ~1.8e19 started jobs, so the run reports no split.
+func TestJobsSplitNilOnCounterReset(t *testing.T) {
+	srv := newStub(t, true)
+	c := &Client{BaseURL: srv.URL, Speed: 0, HTTP: &http.Client{Timeout: 10 * time.Second}}
+	rep, err := c.Run(context.Background(), planSmall(t, 3))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Summary.OK != rep.Summary.Requests {
+		t.Fatalf("%d of %d requests ok", rep.Summary.OK, rep.Summary.Requests)
+	}
+	if rep.Perf.Jobs != nil {
+		t.Fatalf("split reported across a counter reset: %+v", rep.Perf.Jobs)
+	}
+}
+
+// TestJobsDeltaRejectsAnyDrop: any one counter going down is a reset.
+func TestJobsDeltaRejectsAnyDrop(t *testing.T) {
+	before := &jobCounters{started: 10, finished: 10, waitS: 1, runS: 1}
+	if jobsDelta(before, &jobCounters{started: 12, finished: 11, waitS: 1.5, runS: 2}) == nil {
+		t.Fatal("monotone counters gave no split")
+	}
+	for _, after := range []jobCounters{
+		{started: 9, finished: 11, waitS: 2, runS: 2},
+		{started: 11, finished: 9, waitS: 2, runS: 2},
+		{started: 11, finished: 11, waitS: 0.5, runS: 2},
+		{started: 11, finished: 11, waitS: 2, runS: 0.5},
+	} {
+		if got := jobsDelta(before, &after); got != nil {
+			t.Errorf("after %+v: split %+v, want nil (counter reset)", after, got)
+		}
 	}
 }
 

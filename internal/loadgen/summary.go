@@ -9,7 +9,7 @@ package loadgen
 // transport error text are all excluded. Perf is the complementary
 // timing report: latency quantiles, throughput, per-class SLO
 // attainment, and the jobs queue-wait/run split measured from the
-// server's /statz counters; scripts/benchmerge ingests it into the
+// server's /metrics job counters; scripts/benchmerge ingests it into the
 // BENCH_gk.json trajectory.
 
 import (
@@ -79,8 +79,8 @@ type SLOReport struct {
 }
 
 // JobsSplit is the queue-wait vs run-time split of the job subsystem
-// over the run, measured as the delta of the server's /statz counters
-// (jobs.Manager.Stats) between run start and end.
+// over the run, measured as the delta of the server's /metrics job
+// counters (jobs.Manager.Stats) between run start and end.
 type JobsSplit struct {
 	Started    uint64  `json:"started"`
 	Finished   uint64  `json:"finished"`
@@ -110,8 +110,9 @@ type Perf struct {
 	Backends map[string]int `json:"backends,omitempty"`
 	Classes  []ClassPerf    `json:"classes"`
 	SLO      SLOReport      `json:"slo"`
-	// Jobs is present when the run observed the server's /statz job
-	// counters (nil when the probe failed or was disabled).
+	// Jobs is present when the run observed the server's job counters
+	// on /metrics (nil when the probe failed, the series are missing or
+	// a counter reset between the probes).
 	Jobs *JobsSplit `json:"jobs,omitempty"`
 }
 
@@ -164,7 +165,7 @@ func (t *Trace) scheduleSHA256() string {
 }
 
 // perfReport builds the timing report from an executed trace plus the
-// observed run duration and the optional /statz jobs delta.
+// observed run duration and the optional /metrics jobs delta.
 func perfReport(t *Trace, durationS float64, jobs *JobsSplit) Perf {
 	p := Perf{Schema: 1, Requests: len(t.Records), DurationS: durationS, Jobs: jobs}
 	var all []int64

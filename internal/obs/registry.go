@@ -2,17 +2,17 @@
 // every binary: a metrics registry (counters, gauges, log2 latency
 // histograms) with a Prometheus text-format exposition handler, a
 // lightweight span-tracing API threaded through the solver, and the
-// request-id propagation contract of the cluster. It imports nothing
-// outside the standard library and nothing from the rest of the module,
-// so every layer — core, solver, jobs, cluster, the commands — can
-// depend on it without cycles.
+// request-id propagation contract and JSON error envelope of the
+// cluster. It imports nothing outside the standard library and nothing
+// from the rest of the module, so every layer — core, solver, jobs,
+// cluster, the commands — can depend on it without cycles.
 //
 // The registry is registration-then-serve: families and series are
 // registered once at construction time (misuse panics — a duplicate
 // series or a kind clash is a programmer error, not a runtime
 // condition), and afterwards Counter/Gauge/Histogram handles are
-// lock-free on the hot path. /statz JSON and GET /metrics render from
-// the same handles, so the two surfaces can never disagree.
+// lock-free on the hot path. GET /metrics is the one stats surface:
+// WritePrometheus renders it and ParseExposition reads it back.
 package obs
 
 import (
@@ -276,9 +276,8 @@ func writeSample(w io.Writer, name, labels, extra, value string) error {
 
 // writeHistogram renders one histogram series: cumulative _bucket lines
 // with le in seconds (the log2 bucket upper bounds, trimmed past the
-// highest occupied bucket), then _sum and _count. The bucket total, not
-// the racy sample counter, feeds _count so the cumulative invariant
-// holds under concurrent observes.
+// highest occupied bucket), then _sum and _count. _count is the bucket
+// total loaded once, so +Inf equals _count under concurrent observes.
 func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
 	counts, total, sumUS := h.expo()
 	hi := 0

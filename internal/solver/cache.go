@@ -138,8 +138,7 @@ func (c *instanceCache) put(key string, val any) {
 }
 
 // CacheStats is a point-in-time snapshot of the Solver's instance cache;
-// cmd/cfserve embeds it verbatim in its /statz response, hence the JSON
-// tags.
+// cmd/cfserve exports its counters on GET /metrics.
 type CacheStats struct {
 	Capacity  int    `json:"capacity"`
 	Entries   int    `json:"entries"`

@@ -52,8 +52,8 @@ type (
 	JobEvent = jobs.Event
 	// JobFilter selects jobs for JobManager.List.
 	JobFilter = jobs.Filter
-	// JobStats snapshots the manager's counters (cfserve merges them
-	// into /statz).
+	// JobStats snapshots the manager's counters (cfserve exports them
+	// on GET /metrics).
 	JobStats = jobs.Stats
 )
 

@@ -34,11 +34,8 @@ type (
 	// MetricsGauge is a set-to-current-value gauge handle.
 	MetricsGauge = obs.Gauge
 	// MetricsHistogram is a fixed log2 latency histogram over
-	// microseconds; its Snapshot is the /statz latency-track shape.
+	// microseconds, rendered as cumulative buckets in seconds.
 	MetricsHistogram = obs.Histogram
-	// MetricsHistSnapshot is a histogram snapshot (count, mean and
-	// upper-bound quantiles in milliseconds).
-	MetricsHistSnapshot = obs.HistSnapshot
 	// MetricsLabel is one metric label pair.
 	MetricsLabel = obs.Label
 

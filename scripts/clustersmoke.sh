@@ -10,9 +10,9 @@
 #      store carries phase-1 jobs over: the fresh fleet adopts them and
 #      serves them by id through the gateway.
 #   3. Drain: fire a paced burst at the affinity gateway and SIGTERM one
-#      backend mid-burst. The gateway must reroute (rerouted > 0 in its
-#      /statz), the killed node must drain and exit 0, and the client
-#      must see zero failed requests.
+#      backend mid-burst. The gateway must reroute
+#      (cfgate_rerouted_total > 0 on its /metrics), the killed node must
+#      drain and exit 0, and the client must see zero failed requests.
 #
 # The affinity perf report lands in the trajectory as "<sha>-cluster"
 # via scripts/benchmerge -load. Usage: scripts/clustersmoke.sh [output.json]
@@ -131,9 +131,9 @@ if ! wait "$pid3"; then
   exit 1
 fi
 jq -e '.failed == 0' "$work/summary_drain.json" >/dev/null
-curl -fsS "http://$gate/statz" > "$work/gatestatz.json"
-jq -e '.rerouted > 0' "$work/gatestatz.json" >/dev/null
-jq -e '.policy == "affinity"' "$work/gatestatz.json" >/dev/null
+curl -fsS "http://$gate/metrics" > "$work/gatemetrics.txt"
+awk '$1 == "cfgate_rerouted_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$work/gatemetrics.txt"
+grep -qx 'cfgate_info{policy="affinity"} 1' "$work/gatemetrics.txt"
 # The gateway is still ready on the surviving nodes.
 curl -fsS "http://$gate/readyz" >/dev/null
 

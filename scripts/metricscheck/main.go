@@ -1,23 +1,22 @@
 // Command metricscheck validates a Prometheus text-format exposition
-// (version 0.0.4) read from stdin: HELP/TYPE syntax, sample-line
-// parsing, duplicate-series detection, and the histogram invariants
-// (cumulative buckets non-decreasing in le, the +Inf bucket equal to
-// _count). CI pipes `curl /metrics` from cfserve and cfgate through it
-// so the expositions both binaries serve stay scrape-valid.
+// (version 0.0.4) read from stdin with the parser in internal/obs:
+// HELP/TYPE syntax, sample-line parsing, duplicate-series detection, and
+// the histogram invariants (cumulative buckets non-decreasing in le, the
+// +Inf bucket equal to _count). CI pipes `curl /metrics` from cfserve and
+// cfgate through it so the expositions both binaries serve stay
+// scrape-valid.
 //
 //	curl -fsS http://localhost:8355/metrics | go run ./scripts/metricscheck \
 //	  -require pslocal_requests_total,pslocal_request_duration_seconds
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
+
+	"pslocal/internal/obs"
 )
 
 func main() {
@@ -27,339 +26,23 @@ func main() {
 	}
 }
 
-// metricNameOK follows the Prometheus data model: [a-zA-Z_:] first,
-// [a-zA-Z0-9_:] after.
-func metricNameOK(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		ok := r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (i > 0 && r >= '0' && r <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// labelNameOK is metricNameOK without the colon.
-func labelNameOK(s string) bool {
-	return metricNameOK(s) && !strings.ContainsRune(s, ':')
-}
-
-// sample is one parsed exposition line.
-type sample struct {
-	name   string
-	labels map[string]string
-	value  float64
-	line   int
-}
-
-// parseLabels parses the `k="v",...` interior of a label block,
-// honouring the \\, \" and \n escapes.
-func parseLabels(s string, line int) (map[string]string, error) {
-	labels := make(map[string]string)
-	i := 0
-	for i < len(s) {
-		eq := strings.IndexByte(s[i:], '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("line %d: label block %q: missing '='", line, s)
-		}
-		key := s[i : i+eq]
-		if !labelNameOK(key) {
-			return nil, fmt.Errorf("line %d: invalid label name %q", line, key)
-		}
-		i += eq + 1
-		if i >= len(s) || s[i] != '"' {
-			return nil, fmt.Errorf("line %d: label %q value is not quoted", line, key)
-		}
-		i++
-		var val strings.Builder
-		closed := false
-		for i < len(s) {
-			c := s[i]
-			if c == '\\' {
-				if i+1 >= len(s) {
-					return nil, fmt.Errorf("line %d: dangling escape in label %q", line, key)
-				}
-				switch s[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					return nil, fmt.Errorf("line %d: bad escape \\%c in label %q", line, s[i+1], key)
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				closed = true
-				i++
-				break
-			}
-			val.WriteByte(c)
-			i++
-		}
-		if !closed {
-			return nil, fmt.Errorf("line %d: unterminated label value for %q", line, key)
-		}
-		if _, dup := labels[key]; dup {
-			return nil, fmt.Errorf("line %d: duplicate label %q", line, key)
-		}
-		labels[key] = val.String()
-		if i < len(s) {
-			if s[i] != ',' {
-				return nil, fmt.Errorf("line %d: expected ',' between labels, got %q", line, s[i:])
-			}
-			i++
-		}
-	}
-	return labels, nil
-}
-
-// parseSample parses one non-comment line.
-func parseSample(text string, line int) (sample, error) {
-	s := sample{line: line}
-	rest := text
-	if brace := strings.IndexByte(text, '{'); brace >= 0 {
-		s.name = text[:brace]
-		end := strings.LastIndexByte(text, '}')
-		if end < brace {
-			return s, fmt.Errorf("line %d: unbalanced label braces", line)
-		}
-		var err error
-		if s.labels, err = parseLabels(text[brace+1:end], line); err != nil {
-			return s, err
-		}
-		rest = strings.TrimSpace(text[end+1:])
-	} else {
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return s, fmt.Errorf("line %d: want 'name value', got %q", line, text)
-		}
-		s.name = fields[0]
-		rest = strings.Join(fields[1:], " ")
-	}
-	if !metricNameOK(s.name) {
-		return s, fmt.Errorf("line %d: invalid metric name %q", line, s.name)
-	}
-	// The value may be followed by an optional timestamp; take field one.
-	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 {
-		return s, fmt.Errorf("line %d: want 'value [timestamp]' after the name, got %q", line, rest)
-	}
-	v, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return s, fmt.Errorf("line %d: bad sample value %q", line, fields[0])
-	}
-	s.value = v
-	return s, nil
-}
-
-// seriesKey canonicalizes name + labels for duplicate detection.
-func seriesKey(name string, labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", k, labels[k])
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// histogramBase maps a histogram sample name onto its family name, or
-// "" when the sample does not belong to a histogram suffix.
-func histogramBase(name string) (base, suffix string) {
-	for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, sfx) {
-			return strings.TrimSuffix(name, sfx), sfx
-		}
-	}
-	return "", ""
-}
-
-// bucketSeries accumulates one histogram series' buckets for the
-// cumulativity check.
-type bucketSeries struct {
-	les    []float64
-	counts []float64
-	count  float64 // the _count sample
-	hasCnt bool
-}
-
 func run() error {
 	require := flag.String("require", "", "comma-separated metric families that must be present")
 	flag.Parse()
 
-	types := make(map[string]string)  // family -> TYPE
-	helped := make(map[string]bool)   // family -> HELP seen
-	seen := make(map[string]int)      // series key -> first line
-	families := make(map[string]bool) // every family a sample appeared under
-	hists := make(map[string]*bucketSeries)
-
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	samples := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			fields := strings.Fields(text)
-			if len(fields) < 2 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				continue // free-form comment
-			}
-			if len(fields) < 3 || !metricNameOK(fields[2]) {
-				return fmt.Errorf("line %d: malformed %s line: %q", line, fields[1], text)
-			}
-			name := fields[2]
-			if fields[1] == "HELP" {
-				if helped[name] {
-					return fmt.Errorf("line %d: second HELP for %s", line, name)
-				}
-				helped[name] = true
-				continue
-			}
-			if len(fields) != 4 {
-				return fmt.Errorf("line %d: TYPE wants exactly 'TYPE name kind': %q", line, text)
-			}
-			kind := fields[3]
-			switch kind {
-			case "counter", "gauge", "histogram", "summary", "untyped":
-			default:
-				return fmt.Errorf("line %d: unknown TYPE %q for %s", line, kind, name)
-			}
-			if prev, ok := types[name]; ok && prev != kind {
-				return fmt.Errorf("line %d: %s re-typed from %s to %s", line, name, prev, kind)
-			}
-			types[name] = kind
-			continue
-		}
-		s, err := parseSample(text, line)
-		if err != nil {
-			return err
-		}
-		samples++
-		key := seriesKey(s.name, s.labels)
-		if first, dup := seen[key]; dup {
-			return fmt.Errorf("line %d: duplicate series %s (first at line %d)", line, key, first)
-		}
-		seen[key] = line
-
-		family := s.name
-		if base, sfx := histogramBase(s.name); base != "" && types[base] == "histogram" {
-			family = base
-			// Key the histogram series by its labels minus le.
-			le, hasLE := s.labels["le"]
-			rest := make(map[string]string, len(s.labels))
-			for k, v := range s.labels {
-				if k != "le" {
-					rest[k] = v
-				}
-			}
-			hkey := seriesKey(base, rest)
-			hs := hists[hkey]
-			if hs == nil {
-				hs = &bucketSeries{}
-				hists[hkey] = hs
-			}
-			switch sfx {
-			case "_bucket":
-				if !hasLE {
-					return fmt.Errorf("line %d: histogram bucket without an le label: %s", line, text)
-				}
-				bound, err := parseLE(le)
-				if err != nil {
-					return fmt.Errorf("line %d: %v", line, err)
-				}
-				hs.les = append(hs.les, bound)
-				hs.counts = append(hs.counts, s.value)
-			case "_count":
-				hs.count = s.value
-				hs.hasCnt = true
-			}
-		} else if _, ok := s.labels["le"]; ok && types[s.name] != "histogram" {
-			return fmt.Errorf("line %d: le label on non-histogram series %s", line, s.name)
-		}
-		families[family] = true
-		if t, ok := types[family]; !ok {
-			return fmt.Errorf("line %d: sample %s has no preceding TYPE", line, s.name)
-		} else if t == "counter" && s.value < 0 {
-			return fmt.Errorf("line %d: negative counter sample %s = %g", line, s.name, s.value)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	e, err := obs.ParseExposition(os.Stdin)
+	if err != nil {
 		return err
 	}
-	if samples == 0 {
-		return fmt.Errorf("no samples on stdin")
-	}
-
-	// Histogram invariants: at least one +Inf bucket per series, bucket
-	// counts non-decreasing in le order, +Inf equal to _count.
-	for hkey, hs := range hists {
-		if len(hs.les) == 0 {
-			return fmt.Errorf("histogram %s has no buckets", hkey)
-		}
-		type pair struct{ le, n float64 }
-		pairs := make([]pair, len(hs.les))
-		for i := range hs.les {
-			pairs[i] = pair{hs.les[i], hs.counts[i]}
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].le < pairs[j].le })
-		last := pairs[len(pairs)-1]
-		if !isInf(last.le) {
-			return fmt.Errorf("histogram %s is missing its +Inf bucket", hkey)
-		}
-		for i := 1; i < len(pairs); i++ {
-			if pairs[i].n < pairs[i-1].n {
-				return fmt.Errorf("histogram %s buckets not cumulative: le=%g count %g < le=%g count %g",
-					hkey, pairs[i].le, pairs[i].n, pairs[i-1].le, pairs[i-1].n)
-			}
-		}
-		if hs.hasCnt && last.n != hs.count {
-			return fmt.Errorf("histogram %s: +Inf bucket %g != _count %g", hkey, last.n, hs.count)
-		}
-	}
-
 	var missing []string
 	for _, name := range strings.Split(*require, ",") {
-		if name = strings.TrimSpace(name); name != "" && !families[name] {
+		if name = strings.TrimSpace(name); name != "" && !e.Families[name] {
 			missing = append(missing, name)
 		}
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("required families missing: %s", strings.Join(missing, ", "))
 	}
-	fmt.Printf("ok: %d samples, %d families, %d histogram series\n", samples, len(families), len(hists))
+	fmt.Printf("ok: %d samples, %d families, %d histogram series\n", len(e.Samples), len(e.Families), e.Histograms)
 	return nil
 }
-
-// parseLE parses a bucket bound ("+Inf" or a float).
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad le value %q", s)
-	}
-	return v, nil
-}
-
-func isInf(v float64) bool { return math.IsInf(v, 1) }
